@@ -11,28 +11,30 @@
  * (`ext_vector_type` on Clang, `vector_size` on GCC) rather than
  * scalar per-lane loops, tape FIFOs with the SAGU transposed
  * addressing where annotated (and contiguous vector copies on
- * untransposed vector endpoints), one struct per actor, and all
+ * untransposed vector endpoints), one struct per actor, and the
  * runtime state (tapes, actor instances, firing functions) gathered
- * into one `Program` struct. Two output shapes share that core:
+ * into one `struct Partition<k>` per core of a multicore partition.
+ * A serial program is the one-partition case (an empty
+ * EmitOptions::partitionCoreOf): Partition0 owns every tape and actor
+ * and no tape crosses, so the ring endpoint code is compiled out
+ * (`MACROSS_RING` is defined to 1 only when some tape crosses cores).
+ * Two output shapes share that core:
  *
- *  - Standalone: a main() that runs the init phase plus N steady
- *    iterations and prints the first K sink outputs and an
- *    order-independent 64-bit checksum over the raw lane bits.
- *  - Library: a stable `extern "C"` ABI (create/destroy/init/
- *    run-steady/capture export) for the native execution engine,
- *    which compiles the TU with the host compiler and dlopen()s it.
- *    Program instances are heap-allocated through the ABI, so one
- *    loaded shared object serves any number of independent runs.
- *  - PartitionedLibrary: the same core split along a multicore
- *    partition — one `struct Partition<k>` per core, each owning its
- *    core's actors, its intra-core tapes, and a ring-bindable Tape
- *    endpoint for every cross-core tape. The host creates one
- *    partition instance per core through the ABI, binds each crossing
- *    tape to an in-process SPSC ring (interp/spsc_queue.h) via the
- *    `MacrossRing` binding struct, runs the warm-up single-threaded
- *    through `macross_init_all`, and then drives each partition's
- *    steady slice from its own worker thread. Ring traffic follows
- *    the interpreter's protocol exactly: monotonic 64-bit logical
+ *  - Standalone: a main() that drives Partition0 through the init
+ *    phase plus N steady iterations and prints the first K sink
+ *    outputs and an order-independent 64-bit checksum over the raw
+ *    lane bits.
+ *  - Library: the stable `extern "C"` ABI v3 partition surface for
+ *    the native execution engine, which compiles the TU with the
+ *    host compiler and dlopen()s it. The host creates one partition
+ *    instance per core through the ABI (instances are heap-allocated,
+ *    so one loaded shared object serves any number of independent
+ *    runs), binds each crossing tape to an in-process SPSC ring
+ *    (interp/spsc_queue.h) via the `MacrossRing` binding struct, runs
+ *    the warm-up single-threaded through `macross_init_all`, and then
+ *    drives each partition's steady slice — from its own worker
+ *    thread when there are several. Ring traffic follows the
+ *    interpreter's protocol exactly: monotonic 64-bit logical
  *    indexes, acquire/release index publication, block-granular
  *    publication on SAGU-transposed endpoints, and an exact flush at
  *    batch barriers.
@@ -56,36 +58,31 @@ namespace macross::codegen {
 
 /** Shape of the emitted translation unit. */
 enum class EmitMode {
-    Standalone,  ///< Self-contained program with a main().
-    Library,     ///< Shared-object ABI for the native engine.
-    /** Per-core sub-programs over extern SPSC ring endpoints, for the
-     *  parallel native runtime (one `struct Partition<k>` per core). */
-    PartitionedLibrary,
+    Standalone,  ///< Self-contained one-partition program with a main().
+    Library,     ///< ABI v3 partition surface for the native engine.
+    /** Alias of Library, kept for callers that name the multicore
+     *  case: the partition is given by EmitOptions::partitionCoreOf. */
+    PartitionedLibrary = Library,
 };
 
 /**
- * Version of the emitted `extern "C"` ABI (Library and
- * PartitionedLibrary modes).
+ * Version of the emitted `extern "C"` ABI (Library mode).
  *
- * v1 (PR 5): abi_version / create / destroy / init / run_steady /
- *            capture_size / capture_data.
- * v2 (PR 6): everything in v1, plus the SIMD lowering the object was
- *            built with — macross_simd_lanes() (lane width),
- *            macross_simd_isa() (ISA selector string), and
- *            macross_exact() (1 = bit-identical contract, 0 =
- *            ULP-bounded).
- * v3 (this PR): adds the partitioned surface. A Library-shaped object
- *            keeps exactly the v2 symbol set; a PartitionedLibrary
- *            object replaces the whole-program entry points with
- *            macross_num_partitions / macross_create_partition /
- *            macross_destroy_partition / macross_ring_bind /
- *            macross_init_all / macross_run_steady_partition /
- *            macross_flush_partition / macross_sink_partition, and
- *            its capture exports take the sink partition handle. Both
- *            shapes report version 3; the engine knows which shape it
- *            emitted (the object cache is keyed by the full source).
- *            Any other version is refused with a FatalError naming
- *            both.
+ * v1: abi_version / create / destroy / init / run_steady /
+ *     capture_size / capture_data.
+ * v2: everything in v1, plus the SIMD lowering the object was built
+ *     with — macross_simd_lanes() (lane width), macross_simd_isa()
+ *     (ISA selector string), and macross_exact() (1 = bit-identical
+ *     contract, 0 = ULP-bounded).
+ * v3: the partition surface replaces the whole-program entry points:
+ *     macross_num_partitions / macross_create_partition /
+ *     macross_destroy_partition / macross_ring_bind /
+ *     macross_init_all / macross_run_steady_partition /
+ *     macross_flush_partition / macross_sink_partition, with the
+ *     capture exports taking the sink partition handle. It is the
+ *     only symbol set; a serial program exports it with one
+ *     partition. Any other version is refused with a FatalError
+ *     naming both.
  */
 inline constexpr int kNativeAbiVersion = 3;
 
@@ -95,11 +92,12 @@ struct EmitOptions {
     int printFirst = 32;       ///< Sink elements echoed by main().
     EmitMode mode = EmitMode::Standalone;
     SimdSpec simd;             ///< Vector lowering (see simd_spec.h).
-    /** PartitionedLibrary only: number of cores (>= 1). */
+    /** Number of cores of partitionCoreOf (>= 1 when it is set). */
     int partitionCores = 0;
-    /** PartitionedLibrary only: core of each actor id (the greedy
-     *  partition's coreOf; size must equal the actor count). Kept as
-     *  plain values so codegen does not depend on multicore/. */
+    /** Core of each actor id (the greedy partition's coreOf; size
+     *  must equal the actor count). Empty = one partition holding
+     *  every actor, the only choice for Standalone. Kept as plain
+     *  values so codegen does not depend on multicore/. */
     std::vector<int> partitionCoreOf;
 };
 

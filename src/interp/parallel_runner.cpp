@@ -8,7 +8,6 @@
 #include <chrono>
 
 #include "native/native_fault.h"
-#include "native/quarantine.h"
 #include "schedule/buffers.h"
 #include "support/diagnostics.h"
 #include "support/fault.h"
@@ -23,10 +22,10 @@ namespace macross::interp {
 namespace {
 
 /**
- * Under ExecEngine::Native the member Runner must never build the
- * whole-program shared object (the partitioned one replaces it), so
- * it is constructed with the engine downgraded; config_ keeps Native
- * as the source of truth (and the serial fallback uses it verbatim).
+ * Under ExecEngine::Native the member Runner must never build its own
+ * shared object (native_ drives the partition), so it is constructed
+ * with the engine downgraded; config_ keeps Native as the source of
+ * truth (and the serial fallback uses it verbatim).
  */
 EngineConfig
 interpEngineConfig(EngineConfig c)
@@ -101,12 +100,12 @@ ParallelRunner::ParallelRunner(const graph::FlatGraph& g,
                 .setRing(rings_[i].get());
     }
 
-    // Native: compile the partitioned library once and bind both
+    // Native: compile the partition's library once and bind both
     // emitted endpoints of every crossing tape to its ring. The
     // interpreting tapes stay ring-free — nothing fires through
     // runner_ in this mode.
     if (native) {
-        native_ = std::make_unique<native::NativePartitionedProgram>(
+        native_ = std::make_unique<native::NativeProgram>(
             g, s, part_.cores, part_.coreOf, config_.native,
             config_.simd);
         for (std::size_t i = 0; i < rings_.size(); ++i) {
@@ -183,7 +182,7 @@ ParallelRunner::runInit()
     // publication makes whole blocks visible, which is all the SDF
     // init schedule ever consumes, so one thread suffices).
     if (native_) {
-        native_->initAll();
+        native_->init();
         nativeCaptured_ = native_->captured();
         return;
     }
@@ -425,9 +424,9 @@ ParallelRunner::degradeToSerial(ParallelFault fault,
     // replay the entire steady history from scratch. Its cost sink
     // starts empty so the merged totals are the exact serial ones.
     // config_ is passed verbatim, so a native parallel run falls back
-    // to the whole-program serial native engine (Library shape — a
-    // separate cached .so; native_ itself is never unloaded here,
-    // because a detached worker could still be inside its code).
+    // to the serial native engine (its own NativeProgram; native_
+    // itself is never unloaded here, because a detached worker could
+    // still be inside its code).
     if (cost_)
         fallbackCost_ =
             std::make_unique<machine::CostSink>(cost_->machine());
@@ -518,14 +517,8 @@ ParallelRunner::runSteady(int iterations)
     // quiescent and can be snapshotted for captured().
     if (native_) {
         nativeCaptured_ = native_->captured();
-        // The recompiled-fresh entry survived real steady batches on
-        // every partition: lift the quarantine so future runs
-        // cache-hit again.
-        if (!quarCleared_ &&
-            native_->stats().quarantineFailures > 0) {
-            native::quarantine::clear(native_->stats().soPath);
-            quarCleared_ = true;
-        }
+        // Every partition ran real steady batches cleanly.
+        native_->liftQuarantine();
     }
 
     if (cost_ && !native_) {

@@ -7,17 +7,14 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "codegen/emit_cpp.h"
 #include "native/compile_exec.h"
 #include "native/native_cache.h"
-#include "native/native_fault.h"
 #include "native/quarantine.h"
 #include "native/signal_guard.h"
 #include "native/simd_probe.h"
@@ -47,6 +44,21 @@ commandExists(const std::string& cmd)
     limits.wallMs = 15000;
     limits.maxAttempts = 2;
     return runCommand({cmd, "--version"}, limits).ok();
+}
+
+/**
+ * The fail() callback emitted wait loops call when a ring wait is
+ * aborted (watchdog shutdown) or times out. ctx carries the tape id.
+ * PanicError unwinds through the emitted frames into the worker's
+ * batch loop, which parks the worker — the same path an interp
+ * worker takes out of SpscRing::waitSlow.
+ */
+[[noreturn]] void
+ringFail(void* ctx, const char* msg)
+{
+    panic("native partition ring (tape ",
+          static_cast<long long>(reinterpret_cast<std::intptr_t>(ctx)),
+          "): ", msg);
 }
 
 } // namespace
@@ -130,12 +142,22 @@ NativeProgram::NativeProgram(const graph::FlatGraph& g,
                              const schedule::Schedule& s,
                              const NativeOptions& opts,
                              const codegen::SimdSpec& spec)
+    : NativeProgram(g, s, 1, {}, opts, spec)
 {
+    wholeProgram_ = true;
+}
+
+NativeProgram::NativeProgram(const graph::FlatGraph& g,
+                             const schedule::Schedule& s, int cores,
+                             const std::vector<int>& core_of,
+                             const NativeOptions& opts,
+                             const codegen::SimdSpec& spec)
+    : cores_(cores)
+{
+    fatalIf(cores_ < 1, "native engine: cores must be >= 1");
     for (const auto& a : g.actors) {
-        if (a.isFilter() && a.outputs.empty() && !a.inputs.empty()) {
-            hasSink_ = true;
+        if (a.isFilter() && a.outputs.empty() && !a.inputs.empty())
             sinkElem_ = g.tape(a.inputs[0]).elem;
-        }
     }
 
     // Runtime ISA dispatch: refuse a width the host cannot execute
@@ -157,7 +179,15 @@ NativeProgram::NativeProgram(const graph::FlatGraph& g,
     codegen::EmitOptions eo;
     eo.mode = codegen::EmitMode::Library;
     eo.simd = spec_;
-    compileAndLoad(opts, codegen::emitCpp(g, s, eo));
+    eo.partitionCores = cores_;
+    eo.partitionCoreOf = core_of;
+    detail::compileOrLoadCached(
+        opts, spec_, codegen::emitCpp(g, s, eo), &stats_,
+        [this](const std::string& so, int* abi) {
+            return tryBind(so, abi);
+        });
+    wallMicros_.assign(static_cast<std::size_t>(cores_), 0.0);
+    batches_.assign(static_cast<std::size_t>(cores_), 0);
 }
 
 NativeProgram::~NativeProgram()
@@ -168,26 +198,32 @@ NativeProgram::~NativeProgram()
 void
 NativeProgram::unload()
 {
-    if (ctx_ && destroy_) {
-        // A program that already crashed may crash again in its
-        // destructor; swallow it — the state is abandoned either way.
-        (void)signal_guard::run([&] { destroy_(ctx_); });
+    if (destroyPartition_) {
+        for (void* p : parts_) {
+            // A program that already crashed may crash again in its
+            // destructor; swallow it — the state is abandoned anyway.
+            if (p)
+                (void)signal_guard::run(
+                    [&] { destroyPartition_(p); });
+        }
     }
-    ctx_ = nullptr;
+    parts_.clear();
     if (handle_)
         ::dlclose(handle_);
     handle_ = nullptr;
-    create_ = nullptr;
-    destroy_ = nullptr;
-    init_ = nullptr;
-    runSteady_ = nullptr;
+    destroyPartition_ = nullptr;
+    ringBind_ = nullptr;
+    initAll_ = nullptr;
+    runSteadyPartition_ = nullptr;
     captureSize_ = nullptr;
     captureData_ = nullptr;
+    sinkCore_ = -1;
 }
 
-NativeProgram::BindStatus
+detail::BindStatus
 NativeProgram::tryBind(const std::string& so_path, int* found_abi)
 {
+    using detail::BindStatus;
     unload();
     if (found_abi)
         *found_abi = 0;
@@ -216,33 +252,51 @@ NativeProgram::tryBind(const std::string& so_path, int* found_abi)
         unload();
         return BindStatus::AbiMismatch;
     }
-    auto* simdLanes = reinterpret_cast<int (*)()>(
-        sym("macross_simd_lanes"));
+    auto* simdLanes =
+        reinterpret_cast<int (*)()>(sym("macross_simd_lanes"));
     auto* simdIsa = reinterpret_cast<const char* (*)()>(
         sym("macross_simd_isa"));
     auto* exact = reinterpret_cast<int (*)()>(sym("macross_exact"));
-    create_ = reinterpret_cast<void* (*)()>(sym("macross_create"));
-    destroy_ = reinterpret_cast<void (*)(void*)>(sym("macross_destroy"));
-    init_ = reinterpret_cast<void (*)(void*)>(sym("macross_init"));
-    runSteady_ = reinterpret_cast<void (*)(void*, int)>(
-        sym("macross_run_steady"));
+    auto* numPartitions =
+        reinterpret_cast<int (*)()>(sym("macross_num_partitions"));
+    auto* createPartition = reinterpret_cast<void* (*)(int)>(
+        sym("macross_create_partition"));
+    auto* sinkPartition =
+        reinterpret_cast<int (*)()>(sym("macross_sink_partition"));
+    destroyPartition_ = reinterpret_cast<void (*)(void*)>(
+        sym("macross_destroy_partition"));
+    ringBind_ = reinterpret_cast<int (*)(void*, int, void*)>(
+        sym("macross_ring_bind"));
+    initAll_ = reinterpret_cast<void (*)(void**, int)>(
+        sym("macross_init_all"));
+    runSteadyPartition_ = reinterpret_cast<void (*)(void*, int)>(
+        sym("macross_run_steady_partition"));
     captureSize_ = reinterpret_cast<unsigned long long (*)(void*)>(
         sym("macross_capture_size"));
     captureData_ = reinterpret_cast<const unsigned int* (*)(void*)>(
         sym("macross_capture_data"));
-    if (!simdLanes || !simdIsa || !exact || !create_ || !destroy_ ||
-        !init_ || !runSteady_ || !captureSize_ || !captureData_) {
+    if (!simdLanes || !simdIsa || !exact || !numPartitions ||
+        !createPartition || !sinkPartition || !destroyPartition_ ||
+        !ringBind_ || !initAll_ || !runSteadyPartition_ ||
+        !captureSize_ || !captureData_ || numPartitions() != cores_) {
         unload();
         return BindStatus::LoadFailed;
     }
-    // create_() is the first entry into the object's code; a crash
-    // here (corrupted object, hostile static data) maps to a plain
-    // load failure so the recompile-once path absorbs it.
-    const auto crash = signal_guard::run([&] { ctx_ = create_(); });
-    if (crash || !ctx_) {
-        unload();
-        return BindStatus::LoadFailed;
+    // create_partition() is the first entry into the object's code; a
+    // crash here (corrupted object, hostile static data) maps to a
+    // plain load failure so the recompile-once path absorbs it.
+    parts_.assign(static_cast<std::size_t>(cores_), nullptr);
+    const auto crash = signal_guard::run([&] {
+        for (int k = 0; k < cores_; ++k)
+            parts_[static_cast<std::size_t>(k)] = createPartition(k);
+    });
+    for (void* p : parts_) {
+        if (crash || !p) {
+            unload();
+            return BindStatus::LoadFailed;
+        }
     }
+    sinkCore_ = sinkPartition();
     // Record the lowering the object itself reports — the loaded .so,
     // not the request, is the ground truth for stats.
     stats_.abiVersion = version;
@@ -253,22 +307,29 @@ NativeProgram::tryBind(const std::string& so_path, int* found_abi)
 }
 
 void
-NativeProgram::compileAndLoad(const NativeOptions& opts,
-                              const std::string& source)
+NativeProgram::bindRing(int tape_id, interp::SpscRing* ring)
 {
-    detail::compileOrLoadCached(
-        opts, spec_, source, &stats_,
-        [this](const std::string& so, int* abi) {
-            switch (tryBind(so, abi)) {
-              case BindStatus::Ok:
-                return detail::BindStatus::Ok;
-              case BindStatus::AbiMismatch:
-                return detail::BindStatus::AbiMismatch;
-              case BindStatus::LoadFailed:
-                break;
-            }
-            return detail::BindStatus::LoadFailed;
-        });
+    panicIf(initDone_, "native engine: bindRing after init");
+    bindings_.push_back(RingBinding{
+        ring->slotsData(),
+        static_cast<long long>(ring->mask()),
+        // atomic<int64_t> is layout-transparent plain 64-bit storage
+        // (static_asserts in spsc_queue.h); emitted code accesses it
+        // with __atomic builtins at the same acquire/release orders
+        // the interpreter uses.
+        reinterpret_cast<long long*>(ring->tailAtomic()),
+        reinterpret_cast<long long*>(ring->headAtomic()),
+        static_cast<long long>(ring->headBlock()),
+        static_cast<long long>(ring->tailBlock()),
+        reinterpret_cast<unsigned char*>(ring->abortedFlag()),
+        reinterpret_cast<void*>(static_cast<std::intptr_t>(tape_id)),
+        &ringFail,
+    });
+    int bound = 0;
+    for (void* p : parts_)
+        bound += ringBind_(p, tape_id, &bindings_.back());
+    panicIf(bound != 2, "native engine: tape ", tape_id, " bound by ",
+            bound, " partitions (expected producer + consumer)");
 }
 
 void
@@ -278,54 +339,73 @@ NativeProgram::init()
     initDone_ = true;
     detail::runEmittedGuarded("init", /*partition=*/-1,
                               /*batch_index=*/-1, stats_.soPath,
-                              [&] { init_(ctx_); });
+                              [&] { initAll_(parts_.data(), cores_); });
 }
 
 void
 NativeProgram::runSteady(int iterations)
 {
+    panicIf(cores_ != 1, "NativeProgram::runSteady on a ", cores_,
+            "-partition program (use runSteadyPartition)");
     if (!initDone_)
         init();
+    runSteadyPartition(0, iterations);
+    stats_.steadyWallMicros = wallMicros_[0];
+    liftQuarantine();
+}
+
+void
+NativeProgram::runSteadyPartition(int core, int iterations)
+{
+    panicIf(!initDone_, "native engine: runSteadyPartition before init");
+    const auto k = static_cast<std::size_t>(core);
     auto t0 = std::chrono::steady_clock::now();
     detail::runEmittedGuarded(
-        "steady", /*partition=*/-1, steadyBatches_, stats_.soPath,
+        "steady", faultPartition(core), batches_[k], stats_.soPath,
         [&] {
             // Chaos hook: the armed action crashes this thread inside
-            // the guarded region (payload = partition, -1 = serial),
-            // before emitted state mutates — the captured prefix
-            // stays a clean batch boundary.
-            std::int64_t part = -1;
+            // the guarded region, before emitted state mutates — the
+            // captured prefix stays a clean batch boundary. The
+            // payload carries the partition (-1 = whole program) so a
+            // test can target one partition of many.
+            std::int64_t part = faultPartition(core);
             support::FaultInjector::fire("native.steady.crash",
                                          &part);
-            runSteady_(ctx_, iterations);
+            runSteadyPartition_(parts_[k], iterations);
         });
-    ++steadyBatches_;
-    stats_.steadyWallMicros +=
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    // The recompiled-fresh entry ran a steady batch cleanly: lift the
-    // quarantine so future runs cache-hit again.
-    if (!quarantineCleared_ && stats_.quarantineFailures > 0) {
-        quarantine::clear(stats_.soPath);
-        quarantineCleared_ = true;
-    }
+    ++batches_[k];
+    wallMicros_[k] += std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+}
+
+void
+NativeProgram::liftQuarantine()
+{
+    if (quarantineCleared_ || stats_.quarantineFailures == 0)
+        return;
+    quarantine::clear(stats_.soPath);
+    quarantineCleared_ = true;
 }
 
 std::size_t
 NativeProgram::capturedSize() const
 {
-    return static_cast<std::size_t>(captureSize_(ctx_));
+    if (sinkCore_ < 0)
+        return 0;
+    return static_cast<std::size_t>(
+        captureSize_(parts_[static_cast<std::size_t>(sinkCore_)]));
 }
 
 std::vector<interp::Value>
 NativeProgram::captured() const
 {
     std::vector<interp::Value> out;
-    if (!hasSink_)
+    if (sinkCore_ < 0)
         return out;
-    const std::size_t n = capturedSize();
-    const unsigned int* data = captureData_(ctx_);
+    void* sink = parts_[static_cast<std::size_t>(sinkCore_)];
+    const std::size_t n = static_cast<std::size_t>(captureSize_(sink));
+    const unsigned int* data = captureData_(sink);
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         interp::Value v = interp::Value::zero(sinkElem_);

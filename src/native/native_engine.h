@@ -6,24 +6,44 @@
  * The paper's evaluation compiles MacroSS output with ICC and runs it
  * on real hardware; this engine closes the same loop for the
  * reproduction. A NativeProgram takes a compiled (possibly SIMDized)
- * flat graph plus its schedule and a codegen::SimdSpec, emits the
- * library-shaped translation unit (codegen::EmitMode::Library) with
- * the spec's true-SIMD vector layer, invokes the host C++ compiler
- * (`-O3 -march=native` by default; SimdSpec.isa != "auto" appends an
- * explicit -march), dlopen()s the resulting shared object, and drives
- * the steady state natively through a stable C ABI (v3, Library
- * shape; the partitioned shape lives in native_partitioned.h):
+ * flat graph plus its schedule, a codegen::SimdSpec and optionally a
+ * multicore partition, emits the library-shaped translation unit
+ * (codegen::EmitMode::Library) with the spec's true-SIMD vector
+ * layer, invokes the host C++ compiler (`-O3 -march=native` by
+ * default; SimdSpec.isa != "auto" appends an explicit -march),
+ * dlopen()s the resulting shared object, and drives it through the
+ * stable C ABI v3 partition surface:
  *
- *     int          macross_abi_version();            // == 3
- *     int          macross_simd_lanes();             // emitted width
- *     const char*  macross_simd_isa();               // ISA selector
- *     int          macross_exact();                  // 1 = bit-exact
- *     void*        macross_create();                 // heap Program
- *     void         macross_destroy(void*);
- *     void         macross_init(void*);              // init + warm-up
- *     void         macross_run_steady(void*, int);   // N iterations
- *     u64          macross_capture_size(void*);      // sink elements
- *     const u32*   macross_capture_data(void*);      // raw lane bits
+ *     int   macross_abi_version();                  // == 3
+ *     int   macross_simd_lanes() / _simd_isa() / _exact();
+ *     int   macross_num_partitions();
+ *     void* macross_create_partition(int core);     // PartitionBase*
+ *     void  macross_destroy_partition(void*);
+ *     int   macross_ring_bind(void*, int tape, void* ring);
+ *     void  macross_init_all(void** handles, int n);
+ *     void  macross_run_steady_partition(void*, int iters);
+ *     void  macross_flush_partition(void*);
+ *     int   macross_sink_partition();               // -1 = no sink
+ *     u64   macross_capture_size(void* sink_handle);
+ *     const u32* macross_capture_data(void* sink_handle);
+ *
+ * A serial program is the one-partition case, exactly as a MacroSS
+ * multicore run partitions the same SIMDized graph a single core runs:
+ * init() and runSteady() drive partition 0, and a 1-core partition
+ * emits the same source, so it shares the serial program's cached
+ * object. For a multicore partition the host (ParallelRunner) binds
+ * every cross-core tape to an in-process interp::SpscRing via
+ * bindRing() — which materializes the ABI's MacrossRing binding
+ * struct from the ring's raw accessors — runs the warm-up
+ * single-threaded via init(), and then calls runSteadyPartition() for
+ * each core from that core's worker thread. Emitted code follows the
+ * interpreter's ring protocol exactly, so the output stream is
+ * bit-identical to every serial engine. On shutdown,
+ * SpscRing::abortWaits() makes emitted wait loops call the binding's
+ * fail() callback, which panics host-side; the PanicError unwinds
+ * through the emitted frames (compiled with exceptions enabled) into
+ * the worker's batch loop, exactly like an interp worker parked by
+ * the watchdog.
  *
  * Runtime ISA dispatch: before emitting, the engine probes the host
  * (simd_probe.h) and, if the requested lane width exceeds what the
@@ -34,13 +54,13 @@
  * source, the compiler, the flags, and the effective SimdSpec, in a
  * directory resolved from MACROSS_CACHE_DIR (default: a per-user
  * directory under the system temp dir). A cache hit skips the compile
- * entirely; an unloadable or symbol-incomplete entry is deleted and
- * recompiled once, but an entry that loads and then reports a foreign
- * ABI version is a FatalError naming both versions — the cache key
- * covers the emitted source, so version skew at the expected path
- * means toolchain or cache tampering, not staleness. Compiles go
- * through a unique temp file plus an atomic rename, so concurrent
- * processes sharing one cache directory race benignly.
+ * entirely; an unloadable, symbol-incomplete or create-crashing entry
+ * is deleted and recompiled once, but an entry that loads and then
+ * reports a foreign ABI version is a FatalError naming both versions
+ * — the cache key covers the emitted source, so version skew at the
+ * expected path means toolchain or cache tampering, not staleness.
+ * Compiles go through a unique temp file plus an atomic rename, so
+ * concurrent processes sharing one cache directory race benignly.
  *
  * The captured sink stream is exported as raw 32-bit lanes and boxed
  * back into interp::Value with the sink tape's element type, so the
@@ -50,15 +70,21 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "codegen/simd_spec.h"
 #include "graph/flat_graph.h"
+#include "interp/spsc_queue.h"
 #include "interp/value.h"
 #include "schedule/steady_state.h"
 
 namespace macross::native {
+
+namespace detail {
+enum class BindStatus;  // native_cache.h
+} // namespace detail
 
 /** Host-compilation options. */
 struct NativeOptions {
@@ -149,14 +175,26 @@ std::uint64_t fnv1a64(const std::string& data);
 class NativeProgram {
   public:
     /**
-     * Emit with @p spec (after probe-based fallback, see file
-     * comment), compile (or cache-load), and bind @p g under @p s.
-     * Fatal on a missing compiler, a failed host compile (with the
-     * compiler's diagnostics in the message), or an ABI-version
-     * mismatch in the loaded object.
+     * The whole program as one partition: emit with @p spec (after
+     * probe-based fallback, see file comment), compile (or
+     * cache-load), and bind @p g under @p s. Fault records and the
+     * `native.steady.crash` payload report partition -1. Fatal on a
+     * missing compiler, a failed host compile (with the compiler's
+     * diagnostics in the message), or an ABI-version mismatch in the
+     * loaded object.
      */
     NativeProgram(const graph::FlatGraph& g,
                   const schedule::Schedule& s,
+                  const NativeOptions& opts = {},
+                  const codegen::SimdSpec& spec = {});
+    /**
+     * The multicore partition @p core_of over @p cores: one partition
+     * instance per core, each driven by runSteadyPartition(). Same
+     * fallback and failure modes as the whole-program constructor.
+     */
+    NativeProgram(const graph::FlatGraph& g,
+                  const schedule::Schedule& s, int cores,
+                  const std::vector<int>& core_of,
                   const NativeOptions& opts = {},
                   const codegen::SimdSpec& spec = {});
     ~NativeProgram();
@@ -164,18 +202,56 @@ class NativeProgram {
     NativeProgram(const NativeProgram&) = delete;
     NativeProgram& operator=(const NativeProgram&) = delete;
 
-    /** Run the init phase (actor init bodies + warm-up firings). */
+    int partitions() const { return cores_; }
+
+    /**
+     * Bind cross-core tape @p tape_id to @p ring on every partition
+     * that touches it (producer and consumer side each hold their own
+     * emitted endpoint). Must happen before init(); panics if the
+     * emitted object does not know the tape as a crossing tape.
+     */
+    void bindRing(int tape_id, interp::SpscRing* ring);
+
+    /**
+     * Run the init phase (actor init bodies + warm-up firings in
+     * schedule order across all partitions, on this thread). Panics
+     * if called twice.
+     */
     void init();
 
-    /** Run @p iterations steady-state iterations natively. */
+    bool initDone() const { return initDone_; }
+
+    /**
+     * Run @p iterations steady-state iterations of a one-partition
+     * program (running init() first if needed), then lift the
+     * quarantine. Panics on a multicore program.
+     */
     void runSteady(int iterations);
 
-    /** Sink elements captured so far (init phase included). */
+    /**
+     * Run @p iterations steady iterations of core @p core's slice
+     * (ends with an exact ring flush). Called from that core's worker
+     * thread; different cores may run concurrently, the same core may
+     * not.
+     */
+    void runSteadyPartition(int core, int iterations);
+
+    /**
+     * Lift the crash quarantine on this object's cache entry once it
+     * has run a clean steady batch on every partition, so future runs
+     * cache-hit again. A no-op unless the entry was recompiled fresh
+     * on the quarantine retry path.
+     */
+    void liftQuarantine();
+
+    /** Sink elements captured so far (init phase included). Safe
+     *  only at batch barriers. */
     std::size_t capturedSize() const;
 
     /**
      * The captured sink stream, boxed as interp::Value with the sink
-     * tape's element type (bit-exact against the interpreter).
+     * tape's element type (bit-exact against the interpreter). Safe
+     * only at batch barriers.
      */
     std::vector<interp::Value> captured() const;
 
@@ -184,30 +260,60 @@ class NativeProgram {
     /** The spec actually emitted (after probe fallback). */
     const codegen::SimdSpec& effectiveSpec() const { return spec_; }
 
-  private:
-    enum class BindStatus { Ok, LoadFailed, AbiMismatch };
+    /** Accumulated native steady wall time of @p core's partition. */
+    double steadyWallMicros(int core) const
+    {
+        return wallMicros_[static_cast<std::size_t>(core)];
+    }
 
-    void compileAndLoad(const NativeOptions& opts,
-                        const std::string& source);
-    BindStatus tryBind(const std::string& so_path, int* found_abi);
+  private:
+    /** Host mirror of the emitted MacrossRing (layout-matched). */
+    struct RingBinding {
+        std::uint32_t* slots;
+        long long mask;
+        long long* tail;
+        long long* head;
+        long long head_block;
+        long long tail_block;
+        unsigned char* aborted;
+        void* ctx;
+        void (*fail)(void* ctx, const char* msg);
+    };
+
+    /** Partition label of @p core in fault records (-1 when the
+     *  program was built whole-program). */
+    int faultPartition(int core) const
+    {
+        return wholeProgram_ ? -1 : core;
+    }
+    detail::BindStatus tryBind(const std::string& so_path,
+                               int* found_abi);
     void unload();
 
-    void* handle_ = nullptr;  ///< dlopen handle.
-    void* ctx_ = nullptr;     ///< Opaque Program* from macross_create.
+    void* handle_ = nullptr;    ///< dlopen handle.
+    std::vector<void*> parts_;  ///< One PartitionBase* per core.
 
     // Bound ABI entry points.
-    void* (*create_)() = nullptr;
-    void (*destroy_)(void*) = nullptr;
-    void (*init_)(void*) = nullptr;
-    void (*runSteady_)(void*, int) = nullptr;
+    void (*destroyPartition_)(void*) = nullptr;
+    int (*ringBind_)(void*, int, void*) = nullptr;
+    void (*initAll_)(void**, int) = nullptr;
+    void (*runSteadyPartition_)(void*, int) = nullptr;
     unsigned long long (*captureSize_)(void*) = nullptr;
     const unsigned int* (*captureData_)(void*) = nullptr;
+    int sinkCore_ = -1;  ///< Partition holding the capture (-1 = none).
 
+    /** Binding structs live here: the emitted side keeps the pointer
+     *  for the program's lifetime, so storage must never move. */
+    std::deque<RingBinding> bindings_;
+
+    std::vector<double> wallMicros_;  ///< Per-core steady wall time.
+    /** Per-core runSteadyPartition calls completed (the batch index a
+     *  crash on that core reports). */
+    std::vector<std::int64_t> batches_;
+    int cores_ = 1;
+    bool wholeProgram_ = false;
     ir::Type sinkElem_{ir::Scalar::Int32, 1};
-    bool hasSink_ = false;
     bool initDone_ = false;
-    /** runSteady calls completed (the batch index a crash reports). */
-    std::int64_t steadyBatches_ = 0;
     /** Quarantine sidecar cleared after the first clean steady run. */
     bool quarantineCleared_ = false;
     codegen::SimdSpec spec_;

@@ -60,8 +60,8 @@ struct NativeFaultRecord {
     /** signalName(signal), empty when signal == 0. */
     std::string signalName;
     /**
-     * Faulting partition for parallel native runs; -1 for the
-     * whole-program (serial) shape.
+     * Faulting partition for parallel native runs; -1 for a program
+     * built whole-program (serial runs).
      */
     int partition = -1;
     /**

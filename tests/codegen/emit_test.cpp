@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
+#include <set>
 
 #include "../test_util.h"
 #include "benchmarks/suite.h"
@@ -114,6 +116,18 @@ TEST(Codegen, EmitOptionsControlMainDefaults)
     EXPECT_NE(src.find("i < rec.size() && i < 9"), std::string::npos);
 }
 
+/** Names of the `macross_*` functions @p src defines. */
+std::set<std::string>
+definedAbiSymbols(const std::string& src)
+{
+    std::set<std::string> names;
+    const std::regex def(R"(\b(macross_\w+)\()");
+    for (auto it = std::sregex_iterator(src.begin(), src.end(), def);
+         it != std::sregex_iterator(); ++it)
+        names.insert((*it)[1]);
+    return names;
+}
+
 TEST(Codegen, LibraryModeEmitsAbiInsteadOfMain)
 {
     auto compiled =
@@ -124,14 +138,23 @@ TEST(Codegen, LibraryModeEmitsAbiInsteadOfMain)
         emitCpp(compiled.graph, compiled.schedule, opts);
     EXPECT_EQ(src.find("int main"), std::string::npos);
     EXPECT_NE(src.find("extern \"C\""), std::string::npos);
-    for (const char* sym :
-         {"macross_abi_version", "macross_simd_lanes",
-          "macross_simd_isa", "macross_exact", "macross_create",
-          "macross_destroy", "macross_init", "macross_run_steady",
-          "macross_capture_size", "macross_capture_data"}) {
-        EXPECT_NE(src.find(sym), std::string::npos)
-            << "missing ABI symbol " << sym;
-    }
+    // Exactly the v3 partition surface: a serial program is the
+    // one-partition case, with no whole-program entry points.
+    const std::set<std::string> v3 = {
+        "macross_abi_version",          "macross_simd_lanes",
+        "macross_simd_isa",             "macross_exact",
+        "macross_num_partitions",       "macross_create_partition",
+        "macross_destroy_partition",    "macross_ring_bind",
+        "macross_init_all",             "macross_run_steady_partition",
+        "macross_flush_partition",      "macross_sink_partition",
+        "macross_capture_size",         "macross_capture_data"};
+    EXPECT_EQ(definedAbiSymbols(src), v3);
+    for (const char* gone :
+         {"macross_create(", "macross_init(", "macross_run_steady("})
+        EXPECT_EQ(src.find(gone), std::string::npos) << gone;
+    EXPECT_EQ(src.find("struct Program"), std::string::npos);
+    EXPECT_NE(src.find("int macross_num_partitions() { return 1; }"),
+              std::string::npos);
     // The introspection symbols report the spec this object was
     // emitted under.
     EXPECT_NE(src.find("int macross_abi_version() { return 3; }"),
@@ -148,6 +171,28 @@ TEST(Codegen, LibraryModeEmitsAbiInsteadOfMain)
         emitCpp(compiled.graph, compiled.schedule, ulp);
     EXPECT_NE(inexact.find("int macross_exact() { return 0; }"),
               std::string::npos);
+
+    // Ring endpoint code is compiled in only when a tape crosses
+    // cores. A 1-core partition is the serial program, byte for byte.
+    const graph::FlatGraph& g = compiled.graph;
+    EXPECT_EQ(src.find("#define MACROSS_RING 1"), std::string::npos);
+    EmitOptions oneCore = opts;
+    oneCore.partitionCores = 1;
+    oneCore.partitionCoreOf.assign(g.actors.size(), 0);
+    EXPECT_EQ(emitCpp(g, compiled.schedule, oneCore), src);
+
+    // Two cores, with the first tape's producer and consumer split.
+    ASSERT_FALSE(g.tapes.empty());
+    ASSERT_NE(g.tapes[0].src, g.tapes[0].dst);
+    EmitOptions twoCore = opts;
+    twoCore.partitionCores = 2;
+    twoCore.partitionCoreOf.assign(g.actors.size(), 0);
+    twoCore.partitionCoreOf[g.tapes[0].dst] = 1;
+    const std::string twoSrc = emitCpp(g, compiled.schedule, twoCore);
+    EXPECT_NE(twoSrc.find("#define MACROSS_RING 1"), std::string::npos);
+    EXPECT_NE(twoSrc.find("int macross_num_partitions() { return 2; }"),
+              std::string::npos);
+    EXPECT_EQ(definedAbiSymbols(twoSrc), v3);
 }
 
 /** Compile @p source with the host compiler and run it. */

@@ -4,8 +4,10 @@
  * detection, the content-hashed object cache (hit, miss, corrupted
  * entry, SimdSpec keying), ABI v2 verification (stale-stub rejection),
  * the SIMD probe and refuse-and-fallback path, the hermetic
- * cache-directory resolution, and the Runner integration (EngineConfig,
- * stats JSON, whole-program restriction).
+ * cache-directory resolution, the Runner integration (EngineConfig,
+ * stats JSON, whole-program restriction), the serial program as the
+ * one-partition case of the parallel runtime's object, and the
+ * quarantine lift at the parallel batch barrier.
  */
 #include "native/native_engine.h"
 
@@ -18,7 +20,10 @@
 #include "../test_util.h"
 #include "benchmarks/suite.h"
 #include "codegen/emit_cpp.h"
+#include "interp/parallel_runner.h"
 #include "interp/runner.h"
+#include "multicore/partition.h"
+#include "native/quarantine.h"
 #include "native/simd_probe.h"
 #include "support/diagnostics.h"
 #include "vectorizer/pipeline.h"
@@ -364,6 +369,80 @@ TEST(NativeEngine, PerActorNativeOverrideIsRejected)
     }
     interp::Runner r(p.graph, p.schedule, nullptr, config);
     EXPECT_THROW(r.runUntilCaptured(10), PanicError);
+}
+
+/** Greedy partition of @p p over @p cores from a bytecode profile. */
+multicore::Partition
+profiledPartition(const vectorizer::CompiledProgram& p, int cores)
+{
+    const machine::MachineDesc machine = machine::coreI7();
+    machine::CostSink cost(machine);
+    interp::Runner vm(p.graph, p.schedule, &cost,
+                      interp::EngineConfig(
+                          interp::ExecEngine::Bytecode));
+    vm.runInit();
+    vm.runSteady(6);
+    std::vector<double> weights(p.graph.actors.size());
+    for (const auto& a : p.graph.actors)
+        weights[a.id] = cost.actorCycles(a.id);
+    return multicore::partitionGreedy(p.graph, p.schedule, weights,
+                                      cores);
+}
+
+TEST(NativeEngine, OneCoreParallelRunnerSharesTheSerialObject)
+{
+    // A serial program is the one-partition program: the 1-core
+    // parallel runtime emits the same source and loads the same
+    // cached object.
+    auto p = smallProgram();
+    interp::EngineConfig config(interp::ExecEngine::Native);
+    config.native.cacheDir = freshCacheDir("one_core_shared");
+
+    interp::Runner serial(p.graph, p.schedule, nullptr, config);
+    serial.runInit();
+    serial.runSteady(4);
+    ASSERT_NE(serial.nativeStats(), nullptr);
+    EXPECT_FALSE(serial.nativeStats()->cacheHit);
+
+    interp::ParallelRunner one(p.graph, p.schedule,
+                               profiledPartition(p, 1), nullptr,
+                               config);
+    ASSERT_NE(one.nativeStats(), nullptr);
+    EXPECT_TRUE(one.nativeStats()->cacheHit);
+    EXPECT_EQ(one.nativeStats()->sourceHash,
+              serial.nativeStats()->sourceHash);
+    EXPECT_EQ(one.nativeStats()->soPath, serial.nativeStats()->soPath);
+    one.runInit();
+    one.runSteady(4);
+    testutil::expectSameStream(serial.captured(), one.captured());
+}
+
+TEST(NativeEngine, ParallelRunnerLiftsQuarantineAfterCleanBatch)
+{
+    auto p = smallProgram();
+    const multicore::Partition part = profiledPartition(p, 2);
+    interp::EngineConfig config(interp::ExecEngine::Native);
+    config.native.cacheDir = freshCacheDir("parallel_quarantine");
+
+    std::string soPath;
+    {
+        interp::ParallelRunner first(p.graph, p.schedule, part,
+                                     nullptr, config);
+        soPath = first.nativeStats()->soPath;
+    }
+    // One recorded crash distrusts the entry: the next build
+    // recompiles it fresh, and a clean batch on both partitions lifts
+    // the quarantine.
+    quarantine::recordFailure(soPath, "recorded test crash");
+    interp::ParallelRunner second(p.graph, p.schedule, part, nullptr,
+                                  config);
+    EXPECT_FALSE(second.nativeStats()->cacheHit);
+    EXPECT_EQ(second.nativeStats()->quarantineFailures, 1);
+    EXPECT_EQ(quarantine::status(soPath).failures, 1);
+    second.runInit();
+    second.runSteady(4);
+    EXPECT_FALSE(second.degradedToSerial());
+    EXPECT_EQ(quarantine::status(soPath).failures, 0);
 }
 
 } // namespace
