@@ -284,6 +284,39 @@ BENCHMARK_CAPTURE(BM_ParallelSteadyState, filterbank,
     ->Arg(4)
     ->UseRealTime();
 
+/**
+ * One 2-iteration native steady batch on a Runner that has already
+ * captured Arg() sink elements. The capture is read in place and
+ * boxed only on demand, so the batch costs the same after 1k and
+ * after 100k elements. A fixed iteration count keeps the history
+ * growth during timing (8 elements per batch) small against Arg().
+ */
+void
+BM_NativeRunnerBatchAfterHistory(benchmark::State& state)
+{
+    vectorizer::SimdizeOptions opts;
+    opts.forceSimdize = true;
+    opts.machine = machine::coreI7();
+    auto compiled =
+        vectorizer::macroSimdize(benchmarks::makeFmRadio(), opts);
+    interp::Runner r(compiled.graph, compiled.schedule, nullptr,
+                     interp::EngineConfig(interp::ExecEngine::Native));
+    r.runInit();
+    const std::size_t init = r.capturedSize();
+    r.runSteady(1);
+    const auto perIter =
+        static_cast<std::int64_t>(r.capturedSize() - init);
+    r.runSteady(static_cast<int>(state.range(0) / perIter));
+    for (auto _ : state)
+        r.runSteady(2);
+    state.counters["history"] =
+        static_cast<double>(r.capturedSize());
+}
+BENCHMARK(BM_NativeRunnerBatchAfterHistory)
+    ->Arg(1000)
+    ->Arg(100000)
+    ->Iterations(200);
+
 void
 BM_SaguWalk(benchmark::State& state)
 {

@@ -169,6 +169,27 @@ ParallelRunner::setActorConfig(int actor_id, ActorExecConfig cfg)
     runner_.setActorConfig(actor_id, std::move(cfg));
 }
 
+const std::vector<Value>&
+ParallelRunner::captured() const
+{
+    if (fallback_)
+        return fallback_->captured();
+    if (!native_)
+        return runner_.captured();
+    if (nativeCaptured_.size() < nativeClean_)
+        native_->appendCaptured(nativeCaptured_.size(), nativeClean_,
+                                nativeCaptured_);
+    return nativeCaptured_;
+}
+
+std::size_t
+ParallelRunner::capturedSize() const
+{
+    if (fallback_)
+        return fallback_->capturedSize();
+    return native_ ? nativeClean_ : runner_.capturedSize();
+}
+
 void
 ParallelRunner::runInit()
 {
@@ -183,7 +204,7 @@ ParallelRunner::runInit()
     // init schedule ever consumes, so one thread suffices).
     if (native_) {
         native_->init();
-        nativeCaptured_ = native_->captured();
+        nativeClean_ = native_->capturedSize();
         return;
     }
     runner_.runInit();
@@ -514,9 +535,9 @@ ParallelRunner::runSteady(int iterations)
     steadyIterations_ += iterations;
 
     // Batch barrier: workers are parked, so the emitted sink buffer is
-    // quiescent and can be snapshotted for captured().
+    // quiescent and its size is a clean boundary for captured().
     if (native_) {
-        nativeCaptured_ = native_->captured();
+        nativeClean_ = native_->capturedSize();
         // Every partition ran real steady batches cleanly.
         native_->liftQuarantine();
     }
@@ -552,10 +573,10 @@ ParallelRunner::runUntilCaptured(std::int64_t n, int max_iters)
     if (!initDone())
         runInit();
     int iters = 0;
-    while (static_cast<std::int64_t>(captured().size()) < n) {
+    while (static_cast<std::int64_t>(capturedSize()) < n) {
         fatalIf(iters >= max_iters,
                 "runUntilCaptured: sink produced only ",
-                captured().size(), " of ", n, " elements after ",
+                capturedSize(), " of ", n, " elements after ",
                 max_iters, " iterations");
         const int step = std::min(opt_.batchIterations,
                                   max_iters - iters);

@@ -164,12 +164,15 @@ class ParallelRunner {
      */
     void runUntilCaptured(std::int64_t n, int max_iters = 100000);
 
-    const std::vector<Value>& captured() const
-    {
-        if (fallback_)
-            return fallback_->captured();
-        return native_ ? nativeCaptured_ : runner_.captured();
-    }
+    /**
+     * The captured sink stream. Under ExecEngine::Native this boxes,
+     * on demand, only the elements the emitted sink buffer gained
+     * since the last call, up to the last batch barrier.
+     */
+    const std::vector<Value>& captured() const;
+
+    /** captured().size() in O(1), without boxing anything. */
+    std::size_t capturedSize() const;
 
     /** Native build/run stats (null unless running Native). After
      *  degradation this is the partitioned build; the serial replay's
@@ -299,9 +302,11 @@ class ParallelRunner {
 
     /** Compiled per-core sub-programs (ExecEngine::Native only). */
     std::unique_ptr<native::NativeProgram> native_;
-    /** Sink snapshot from native_, refreshed at batch barriers so
-     *  captured() can hand out a stable reference. */
-    std::vector<Value> nativeCaptured_;
+    /** Lazy boxed mirror of native_'s sink buffer, extended by
+     *  captured() up to nativeClean_. */
+    mutable std::vector<Value> nativeCaptured_;
+    /** Sink elements at the last batch barrier (ExecEngine::Native). */
+    std::size_t nativeClean_ = 0;
 
     /** Replayed onto the fallback runner (setActorConfig history). */
     std::vector<std::pair<int, ActorExecConfig>> actorConfigs_;

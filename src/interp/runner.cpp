@@ -40,14 +40,15 @@ toString(DegradeMode m)
 
 namespace {
 
-/** Bitwise-compare @p prefix against the leading elements of @p full. */
+/** Bitwise-compare @p prefix against the leading elements of @p full,
+ *  starting at element @p first (the ones before it already matched). */
 bool
 isBitwisePrefix(const std::vector<Value>& prefix,
-                const std::vector<Value>& full)
+                const std::vector<Value>& full, std::size_t first = 0)
 {
     if (prefix.size() > full.size())
         return false;
-    for (std::size_t i = 0; i < prefix.size(); ++i) {
+    for (std::size_t i = first; i < prefix.size(); ++i) {
         if (!(prefix[i] == full[i]))
             return false;
     }
@@ -109,6 +110,35 @@ Runner::configure(EngineConfig config)
             "built, so a new engine configuration cannot take effect");
     codegen::validateSimdSpec(config.simd);
     config_ = std::move(config);
+}
+
+const std::vector<Value>&
+Runner::captured() const
+{
+    if (degraded_)
+        return ladder_->captured();
+    if (native_ && captured_.size() < nativeClean_)
+        native_->appendCaptured(captured_.size(), nativeClean_,
+                                captured_);
+    return captured_;
+}
+
+std::size_t
+Runner::capturedSize() const
+{
+    if (degraded_)
+        return ladder_->capturedSize();
+    return native_ ? nativeClean_ : captured_.size();
+}
+
+std::span<const std::uint32_t>
+Runner::capturedLanes() const
+{
+    panicIf(!native_ || degraded_,
+            "Runner::capturedLanes needs a native run that has not "
+            "degraded (engine ", toString(config_.engine),
+            degraded_ ? ", degraded)" : ")");
+    return native_->capturedLanes().first(nativeClean_);
 }
 
 void
@@ -221,10 +251,13 @@ Runner::buildLadder()
 void
 Runner::degradeFromNative(std::int64_t completed_iters)
 {
-    // The last successful batch boundary: runSteady mirrors
-    // native_->captured() only after a healthy batch, and the crashed
-    // one never updated it, so this is a clean prefix of the serial
-    // stream even though the emitted program's own state is garbage.
+    // The last successful batch boundary: runSteady advances
+    // nativeClean_ only after a healthy batch, and the crashed one
+    // never did, so the mirror synced up to it is a clean prefix of
+    // the serial stream even though the emitted program's own state is
+    // garbage (the emitted sink only appends, so the elements before
+    // the boundary are still the ones the clean batches wrote).
+    captured();
     std::vector<Value> prefix = std::move(captured_);
     captured_.clear();
     if (!ladder_)
@@ -604,7 +637,8 @@ Runner::runInit()
 
     // Native engine: the emitted shared object owns the whole
     // schedule. Build (or cache-load) it, run its init phase, and
-    // mirror the capture so captured() keeps its meaning. Modeled
+    // record the capture's clean boundary so captured() keeps its
+    // meaning (boxed lazily, see captured()). Modeled
     // cycles are not accumulated — the native numbers are measured.
     // Any typed native fault (compile, load, quarantine, or a crash
     // caught by the signal guards) either propagates (DegradeMode::Off)
@@ -621,7 +655,7 @@ Runner::runInit()
             degradeFromNative(0);
             return;
         }
-        captured_ = native_->captured();
+        nativeClean_ = native_->capturedSize();
         if (trace_ && trace_->enabled()) {
             const native::NativeStats& st = native_->stats();
             json::Value payload = json::Value::object();
@@ -639,12 +673,12 @@ Runner::runInit()
             buildLadder();
             ladder_->runInit();
             if (!config_.simd.allowUlpDivergence) {
-                fatalIf(captured_.size() !=
-                                ladder_->captured().size() ||
-                            !isBitwisePrefix(captured_,
+                const std::vector<Value>& mine = captured();
+                fatalIf(mine.size() != ladder_->captured().size() ||
+                            !isBitwisePrefix(mine,
                                              ladder_->captured()),
                         "degrade=always: native init capture diverged "
-                        "from the bytecode shadow (", captured_.size(),
+                        "from the bytecode shadow (", mine.size(),
                         " native vs ", ladder_->captured().size(),
                         " shadow elements)");
             }
@@ -717,7 +751,8 @@ Runner::runSteady(int iterations)
             return;
         }
         steadyIters_ += iterations;
-        captured_ = native_->captured();
+        const std::size_t batchStart = nativeClean_;
+        nativeClean_ = native_->capturedSize();
         if (trace_ && trace_->enabled()) {
             trace_->count("interp.steadyIterations", iterations);
             json::Value payload = json::Value::object();
@@ -730,14 +765,16 @@ Runner::runSteady(int iterations)
             ladder_->runSteady(iterations);
             ladderIters_ += iterations;
             if (!config_.simd.allowUlpDivergence) {
-                fatalIf(captured_.size() !=
-                                ladder_->captured().size() ||
-                            !isBitwisePrefix(captured_,
-                                             ladder_->captured()),
+                // Earlier batches were verified already; compare only
+                // this batch's elements.
+                const std::vector<Value>& mine = captured();
+                fatalIf(mine.size() != ladder_->captured().size() ||
+                            !isBitwisePrefix(mine, ladder_->captured(),
+                                             batchStart),
                         "degrade=always: native captured stream "
                         "diverged from the bytecode shadow after ",
                         steadyIters_, " steady iterations (",
-                        captured_.size(), " native vs ",
+                        mine.size(), " native vs ",
                         ladder_->captured().size(),
                         " shadow elements)");
             }
@@ -771,10 +808,10 @@ Runner::runUntilCaptured(std::int64_t n, int max_iters)
     if (!initDone_)
         runInit();
     int iters = 0;
-    while (static_cast<std::int64_t>(captured().size()) < n) {
+    while (static_cast<std::int64_t>(capturedSize()) < n) {
         fatalIf(iters++ >= max_iters,
                 "runUntilCaptured: sink produced only ",
-                captured().size(), " of ", n, " elements after ",
+                capturedSize(), " of ", n, " elements after ",
                 max_iters, " iterations");
         runSteady(1);
     }

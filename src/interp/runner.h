@@ -31,6 +31,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/flat_graph.h"
@@ -110,10 +111,25 @@ class Runner {
      */
     void runUntilCaptured(std::int64_t n, int max_iters = 100000);
 
-    const std::vector<Value>& captured() const
-    {
-        return degraded_ ? ladder_->captured() : captured_;
-    }
+    /**
+     * The captured sink stream. Under ExecEngine::Native this boxes,
+     * on demand, only the elements the emitted sink buffer gained
+     * since the last call, up to the last clean batch boundary; the
+     * returned reference is refreshed by the next call, not by
+     * runSteady().
+     */
+    const std::vector<Value>& captured() const;
+
+    /** captured().size() in O(1), without boxing anything. */
+    std::size_t capturedSize() const;
+
+    /**
+     * The captured stream as raw 32-bit lanes, read in place from the
+     * emitted sink buffer up to the last clean batch boundary. Valid
+     * until the next runSteady(). Panics unless this is a native run
+     * that has not degraded.
+     */
+    std::span<const std::uint32_t> capturedLanes() const;
 
     /**
      * Native faults this runner absorbed (or rethrew, under
@@ -263,7 +279,12 @@ class Runner {
     std::int64_t ladderIters_ = 0;
     double compileMicros_ = 0.0;
     std::vector<Tape*> sinkTapes_;
-    std::vector<Value> captured_;
+    /** The interpreting engines' sink tapes append here. Under
+     *  ExecEngine::Native it is a lazy mirror of the emitted sink
+     *  buffer that captured() extends up to nativeClean_. */
+    mutable std::vector<Value> captured_;
+    /** Native only: sink elements at the last clean batch boundary. */
+    std::size_t nativeClean_ = 0;
     bool captureEnabled_ = true;
     bool initDone_ = false;
 };

@@ -23,7 +23,10 @@ namespace macross::machine {
 /** Accumulated cycles, total and per actor / op class. */
 class CostSink {
   public:
+    /** Keeps a pointer to @p m, which must outlive the sink. */
     explicit CostSink(const MachineDesc& m) : machine_(&m) {}
+    /** A temporary (e.g. `CostSink(coreI7())`) would dangle at once. */
+    CostSink(MachineDesc&&) = delete;
 
     /** Set the actor all subsequent charges attribute to. */
     void setCurrentActor(int actor_id);

@@ -391,27 +391,39 @@ NativeProgram::liftQuarantine()
 std::size_t
 NativeProgram::capturedSize() const
 {
+    return capturedLanes().size();
+}
+
+std::span<const std::uint32_t>
+NativeProgram::capturedLanes() const
+{
     if (sinkCore_ < 0)
-        return 0;
-    return static_cast<std::size_t>(
-        captureSize_(parts_[static_cast<std::size_t>(sinkCore_)]));
+        return {};
+    void* sink = parts_[static_cast<std::size_t>(sinkCore_)];
+    return {captureData_(sink),
+            static_cast<std::size_t>(captureSize_(sink))};
+}
+
+void
+NativeProgram::appendCaptured(std::size_t first, std::size_t last,
+                              std::vector<interp::Value>& out) const
+{
+    const std::span<const std::uint32_t> lanes =
+        capturedLanes().subspan(first, last - first);
+    for (std::uint32_t lane : lanes) {
+        interp::Value v = interp::Value::zero(sinkElem_);
+        v.setRawBits(0, lane);
+        out.push_back(v);
+    }
 }
 
 std::vector<interp::Value>
 NativeProgram::captured() const
 {
+    const std::size_t n = capturedSize();
     std::vector<interp::Value> out;
-    if (sinkCore_ < 0)
-        return out;
-    void* sink = parts_[static_cast<std::size_t>(sinkCore_)];
-    const std::size_t n = static_cast<std::size_t>(captureSize_(sink));
-    const unsigned int* data = captureData_(sink);
     out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        interp::Value v = interp::Value::zero(sinkElem_);
-        v.setRawBits(0, data[i]);
-        out.push_back(v);
-    }
+    appendCaptured(0, n, out);
     return out;
 }
 

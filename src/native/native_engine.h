@@ -62,15 +62,19 @@
  * Compiles go through a unique temp file plus an atomic rename, so
  * concurrent processes sharing one cache directory race benignly.
  *
- * The captured sink stream is exported as raw 32-bit lanes and boxed
- * back into interp::Value with the sink tape's element type, so the
- * comparison against the bytecode VM and the tree executor is
- * bit-exact, not approximate.
+ * The captured sink stream stays in the emitted sink buffer as raw
+ * 32-bit lanes. capturedLanes() reads it in place at a batch barrier
+ * (no copy, no boxing), so a caller that wants only the latest batch
+ * pays only for that batch. captured() boxes the lanes into
+ * interp::Value with the sink tape's element type, so the comparison
+ * against the bytecode VM and the tree executor is bit-exact, not
+ * approximate.
  */
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -249,10 +253,22 @@ class NativeProgram {
     std::size_t capturedSize() const;
 
     /**
-     * The captured sink stream, boxed as interp::Value with the sink
-     * tape's element type (bit-exact against the interpreter). Safe
-     * only at batch barriers.
+     * The captured sink stream as raw 32-bit lanes, read in place from
+     * the emitted sink buffer. Valid at a batch barrier until the next
+     * init(), runSteady() or runSteadyPartition() call, which may grow
+     * and move the buffer.
      */
+    std::span<const std::uint32_t> capturedLanes() const;
+
+    /**
+     * Append captured elements [@p first, @p last) to @p out, boxed as
+     * interp::Value with the sink tape's element type (bit-exact
+     * against the interpreter). Safe only at batch barriers.
+     */
+    void appendCaptured(std::size_t first, std::size_t last,
+                        std::vector<interp::Value>& out) const;
+
+    /** The whole captured sink stream, boxed (see appendCaptured). */
     std::vector<interp::Value> captured() const;
 
     const NativeStats& stats() const { return stats_; }

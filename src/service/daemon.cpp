@@ -691,7 +691,7 @@ Daemon::processRun(Job& job)
                 }
                 stats_.compilesInFlight.fetch_sub(1);
                 ctx->runner = std::move(runner);
-                ctx->capturedSeen = ctx->runner->captured().size();
+                ctx->capturedSeen = ctx->runner->capturedSize();
                 if (const native::NativeStats* ns =
                         ctx->runner->nativeStats()) {
                     if (ns->cacheHit)
@@ -748,14 +748,14 @@ Daemon::processRun(Job& job)
             return err;
         }
 
-        // 5. Result: the steady-state delta this request produced.
-        const std::vector<interp::Value>& cap =
-            ctx->runner->captured();
-        std::uint64_t checksum =
-            checksumLanes(cap, ctx->capturedSeen);
-        std::size_t firstNew = ctx->capturedSeen;
-        std::size_t elements = cap.size() - firstNew;
-        ctx->capturedSeen = cap.size();
+        // 5. Result: the steady-state delta this request produced,
+        // read in place from the emitted sink buffer, so a request
+        // costs its own output, not the tenant's history.
+        const std::span<const std::uint32_t> delta =
+            ctx->runner->capturedLanes().subspan(ctx->capturedSeen);
+        const std::uint64_t checksum = checksumLanes(delta);
+        const std::size_t elements = delta.size();
+        ctx->capturedSeen += elements;
         ++ctx->runs;
 
         {
@@ -776,7 +776,7 @@ Daemon::processRun(Job& job)
         v["tenantRuns"] = ctx->runs;
         if (req.wantOutput) {
             json::Value out = json::Value::array();
-            for (std::uint32_t w : flattenLanes(cap, firstNew))
+            for (std::uint32_t w : delta)
                 out.push(static_cast<std::int64_t>(w));
             v["output"] = std::move(out);
         }

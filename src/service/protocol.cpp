@@ -135,6 +135,14 @@ std::uint64_t checksumLanes(const std::vector<interp::Value>& values,
     return sum;
 }
 
+std::uint64_t checksumLanes(std::span<const std::uint32_t> lanes)
+{
+    std::uint64_t sum = 0;
+    for (std::uint32_t lane : lanes)
+        sum += lane;
+    return sum;
+}
+
 std::vector<std::uint32_t>
 flattenLanes(const std::vector<interp::Value>& values,
              std::size_t first)

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,10 @@ json::Value makeError(const std::string& id, const std::string& kind,
  */
 std::uint64_t checksumLanes(const std::vector<interp::Value>& values,
                             std::size_t first = 0);
+
+/** The same digest over raw lanes read in place (the daemon's path:
+ *  Runner::capturedLanes(), nothing boxed). */
+std::uint64_t checksumLanes(std::span<const std::uint32_t> lanes);
 
 /** @p v's raw lanes flattened in stream order (wantOutput payload). */
 std::vector<std::uint32_t>

@@ -62,7 +62,10 @@ FaultInjector::fireCount(const std::string& site) const
 bool
 FaultInjector::fireSlow(const char* site, std::int64_t* value)
 {
-    Action action;
+    // The copy lives in a per-thread slot, overwritten on each fire,
+    // not in a local: an action that crashes into a signal guard
+    // siglongjmps past this frame, which would leak a local copy.
+    thread_local Action action;
     {
         std::lock_guard<std::mutex> lk(mu_);
         auto it = sites_.find(site);

@@ -35,7 +35,7 @@ class FaultInjector {
      * of the worker dispatching a batch — and may be null when the
      * site carries none. The action may mutate it (corruption faults)
      * or sleep (stall faults); it runs on the faulting thread, outside
-     * the registry lock.
+     * the registry lock, and must not fire a site itself.
      */
     using Action = std::function<void(std::int64_t* value)>;
 

@@ -99,12 +99,12 @@ NativeMeasurer::measure(vectorizer::CompileService& service,
             runner.runSteady(warmupIters_);
         double best = 0.0;
         for (int rep = 0; rep < repetitions_; ++rep) {
-            const std::size_t before = runner.captured().size();
+            const std::size_t before = runner.capturedSize();
             const auto t0 = std::chrono::steady_clock::now();
             runner.runSteady(measureIters_);
             const double micros = wallMicrosSince(t0);
             const std::size_t produced =
-                runner.captured().size() - before;
+                runner.capturedSize() - before;
             fatalIf(produced == 0,
                     "tuner measurement produced no sink elements in ",
                     measureIters_, " steady iterations");

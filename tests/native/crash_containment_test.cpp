@@ -247,7 +247,8 @@ TEST_F(CrashContainment, ParallelCrashFallsBackToSerialAndMatches)
 {
     auto p = smallProgram();
 
-    machine::CostSink cost(machine::coreI7());
+    const machine::MachineDesc m = machine::coreI7();
+    machine::CostSink cost(m);
     interp::Runner vm(p.graph, p.schedule, &cost,
                       interp::EngineConfig(
                           interp::ExecEngine::Bytecode));

@@ -174,7 +174,8 @@ TEST(ParallelNativeStats, ReportsPartitionedSections)
     opts.machine = machine::coreI7();
     auto p = vectorizer::macroSimdize(benchmarks::makeFmRadio(), opts);
 
-    machine::CostSink cost(machine::coreI7());
+    const machine::MachineDesc m = machine::coreI7();
+    machine::CostSink cost(m);
     Runner vm(p.graph, p.schedule, &cost,
               EngineConfig(ExecEngine::Bytecode));
     vm.runInit();

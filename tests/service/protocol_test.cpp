@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "service/protocol.h"
@@ -98,6 +99,12 @@ TEST(Protocol, ChecksumMatchesEmittedMainConvention)
     EXPECT_EQ(lanes[0], 3u);
     EXPECT_EQ(lanes[1], std::bit_cast<std::uint32_t>(1.5f));
     EXPECT_EQ(flattenLanes(vals, 1).size(), 1u);
+
+    // The raw-lane form (the daemon's in-place read) is the same
+    // digest, including the u32 -> u64 carry.
+    EXPECT_EQ(checksumLanes(std::span<const std::uint32_t>(lanes)), want);
+    const std::uint32_t big[] = {0xffffffffu, 0xffffffffu};
+    EXPECT_EQ(checksumLanes(big), 0x1fffffffeull);
 }
 
 TEST(Protocol, Hex64IsFixedWidthLowercase)

@@ -459,6 +459,67 @@ TEST(Service, PersistentTenantContinuesSteadyState)
     daemon.wait();
 }
 
+// The daemon reads each request's delta in place from the emitted
+// sink buffer. One tenant mixing output and checksum-only requests,
+// then switching config (a fresh context), must still see exactly
+// consecutive slices of the serial stream.
+TEST(Service, MixedOutputAndChecksumRequestsThenConfigSwitch)
+{
+    DaemonOptions opts = testOptions("mixed");
+    std::string cacheDir = opts.native.cacheDir;
+    Daemon daemon(std::move(opts));
+    daemon.start();
+    Client c(daemon.options().socketPath);
+
+    tuner::TuneConfig scalar = testConfig();
+    scalar.laneWidth = 1;
+    struct Phase {
+        tuner::TuneConfig config;
+        std::vector<int> iters;
+    };
+    const std::vector<Phase> phases = {{testConfig(), {2, 1, 3, 2, 1}},
+                                       {scalar, {1, 2, 2}}};
+    int n = 0;
+    for (const Phase& ph : phases) {
+        int total = 0;
+        for (int it : ph.iters)
+            total += it;
+        const std::vector<std::uint32_t> want =
+            serialLanes("FMRadio", ph.config, total, cacheDir);
+        std::size_t at = 0;
+        for (std::size_t i = 0; i < ph.iters.size(); ++i, ++n) {
+            SCOPED_TRACE("request " + std::to_string(n));
+            Request req = runRequest("FMRadio", ph.iters[i], "mixer",
+                                     "m-" + std::to_string(n));
+            req.config = ph.config;
+            req.wantOutput = i % 2 == 0;
+            json::Value resp = c.call(req);
+            ASSERT_TRUE(resp.find("ok")->asBool()) << resp.dump();
+            const auto elements =
+                static_cast<std::size_t>(resp.find("elements")->asInt());
+            ASSERT_LE(at + elements, want.size());
+            std::vector<std::uint32_t> slice(
+                want.begin() + static_cast<std::ptrdiff_t>(at),
+                want.begin() +
+                    static_cast<std::ptrdiff_t>(at + elements));
+            std::uint64_t sum = 0;
+            for (std::uint32_t w : slice)
+                sum += w;
+            EXPECT_EQ(resp.find("checksum")->asString(), hex64(sum));
+            if (req.wantOutput)
+                EXPECT_EQ(lanesOf(resp), slice);
+            else
+                EXPECT_EQ(resp.find("output"), nullptr);
+            at += elements;
+        }
+        EXPECT_EQ(at, want.size())
+            << "the requests must concatenate to the serial run";
+    }
+
+    daemon.requestShutdown();
+    daemon.wait();
+}
+
 TEST(Service, ShutdownRequestDrainsCleanly)
 {
     DaemonOptions opts = testOptions("shutdown");

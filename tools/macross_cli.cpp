@@ -727,14 +727,14 @@ main(int argc, char** argv)
                 std::printf("[autovec] %s\n", line.c_str());
         }
         r.runInit();
-        std::size_t before = r.captured().size();
+        std::size_t before = r.capturedSize();
         auto wall0 = std::chrono::steady_clock::now();
         r.runSteady(cfg.iters);
         double serialWallMicros =
             std::chrono::duration<double, std::micro>(
                 std::chrono::steady_clock::now() - wall0)
                 .count();
-        std::size_t produced = r.captured().size() - before;
+        std::size_t produced = r.capturedSize() - before;
 
         std::printf("\nran %d steady-state iterations on %s (%d-wide"
                     "%s, %s engine)\n",
