@@ -115,20 +115,32 @@ struct EngineConfig {
      */
     DegradeMode degrade = DegradeMode::Off;
     /**
-     * Steady iterations per parallel dispatch batch. 0 keeps the
-     * runtime default (ParallelOptions::batchIterations, 32).
-     * Positive values override it — larger batches amortize the
-     * barrier but grow every cross-core ring, since rings are sized
-     * so a producer can run a whole batch ahead. Serial runners
-     * ignore it. The auto-tuner searches over this knob.
+     * Parallel-run watchdog timeout per dispatched batch, in
+     * milliseconds (>= 0). 0 disables it: batch waits block
+     * indefinitely and a worker exception is rethrown on the calling
+     * thread. When positive, a batch that does not complete in time —
+     * a stalled, deadlocked, or crashed worker — is detected, the pool
+     * is shut down cleanly, and the run degrades to a serial Runner
+     * that replays the whole steady history, so the caller still
+     * observes bit-identical output and modeled cycles. Size it to a
+     * generous multiple of the expected batch wall time. Serial
+     * runners ignore it.
+     */
+    std::int64_t watchdogMs = 0;
+    /**
+     * Steady iterations per parallel dispatch batch (>= 0). 0 keeps
+     * the runtime default, 32. Larger batches amortize the barrier
+     * but grow every cross-core ring, since rings are sized so a
+     * producer can run a whole batch ahead. Serial runners ignore it.
+     * The auto-tuner searches over this knob.
      */
     int batchIterations = 0;
     /**
-     * Floor on cross-core SPSC ring capacity in elements (rounded up
-     * to a power of two by the ring). 0 keeps the runtime default
-     * (ParallelOptions::minRingSlots, 64). The derived
-     * never-block-mid-batch bound still applies: this raises
-     * capacity, it cannot shrink below what correctness needs.
+     * Floor on cross-core SPSC ring capacity in elements (>= 0,
+     * rounded up to a power of two by the ring). 0 keeps the runtime
+     * default, 64. The derived never-block-mid-batch bound still
+     * applies: this raises capacity, it cannot shrink below what
+     * correctness needs.
      */
     std::int64_t ringCapacity = 0;
 };

@@ -21,6 +21,10 @@ namespace macross::interp {
 
 namespace {
 
+/** Pool defaults for the EngineConfig knobs left at 0. */
+constexpr int kDefaultBatchIterations = 32;
+constexpr std::int64_t kDefaultMinRingSlots = 64;
+
 /**
  * Under ExecEngine::Native the member Runner must never build its own
  * shared object (native_ drives the partition), so it is constructed
@@ -41,27 +45,27 @@ ParallelRunner::ParallelRunner(const graph::FlatGraph& g,
                                const schedule::Schedule& s,
                                const multicore::Partition& part,
                                machine::CostSink* cost,
-                               EngineConfig config, Options opt)
+                               EngineConfig config)
     : graph_(&g), sched_(&s), part_(part), cost_(cost),
-      config_(std::move(config)), opt_(opt),
+      config_(std::move(config)),
       runner_(g, s, cost, interpEngineConfig(config_))
 {
     const bool native = config_.engine == ExecEngine::Native;
     fatalIf(part_.cores < 1, "parallel run over zero cores");
     fatalIf(part_.coreOf.size() != g.actors.size(),
             "partition does not cover the graph");
-    // EngineConfig carries the user/tuner-visible parallel knobs; a
-    // set value overrides the ParallelOptions default so one config
-    // object fully determines the run (the auto-tuner relies on it).
+    // One config object fully determines the run (the auto-tuner
+    // relies on it); a knob left at 0 takes the pool default.
     fatalIf(config_.batchIterations < 0,
             "EngineConfig.batchIterations must be >= 0 (0 = default)");
     fatalIf(config_.ringCapacity < 0,
             "EngineConfig.ringCapacity must be >= 0 (0 = default)");
-    if (config_.batchIterations > 0)
-        opt_.batchIterations = config_.batchIterations;
-    if (config_.ringCapacity > 0)
-        opt_.minRingSlots = config_.ringCapacity;
-    fatalIf(opt_.batchIterations < 1, "batch of zero iterations");
+    fatalIf(config_.watchdogMs < 0,
+            "EngineConfig.watchdogMs must be >= 0 (0 = off)");
+    if (config_.batchIterations == 0)
+        config_.batchIterations = kDefaultBatchIterations;
+    if (config_.ringCapacity == 0)
+        config_.ringCapacity = kDefaultMinRingSlots;
 
     // Re-back every cross-core tape with an SPSC ring, sized so the
     // producer can stay a full batch ahead of a consumer that has not
@@ -90,8 +94,8 @@ ParallelRunner::ParallelRunner(const graph::FlatGraph& g,
         // warm-up firing drains any of it); the batch term covers the
         // steady-state race.
         const std::int64_t slots = std::max(
-            {opt_.minRingSlots, bounds[i].bound + slack,
-             bounds[i].warmup + opt_.batchIterations * perIter +
+            {config_.ringCapacity, bounds[i].bound + slack,
+             bounds[i].warmup + config_.batchIterations * perIter +
                  slack});
         rings_[i] =
             std::make_unique<SpscRing>(slots, headBlock, tailBlock);
@@ -163,9 +167,8 @@ ParallelRunner::setActorConfig(int actor_id, ActorExecConfig cfg)
 {
     panicIf(initDone(),
             "setActorConfig after runInit on a parallel runner");
-    // Keep a copy: the serial fallback must run the same per-actor
-    // configuration to reproduce the exact output and cycles.
-    actorConfigs_.emplace_back(actor_id, cfg);
+    // runner_ also hands the per-actor configs to the serial
+    // fallback, which must reproduce the exact output and cycles.
     runner_.setActorConfig(actor_id, std::move(cfg));
 }
 
@@ -216,9 +219,8 @@ ParallelRunner::workerLoop(int worker_id)
 #ifdef __linux__
     // Best-effort affinity: meaningful only when the host actually has
     // a CPU per worker (CI containers often don't).
-    if (opt_.pinThreads &&
-        std::thread::hardware_concurrency() >=
-            static_cast<unsigned>(part_.cores)) {
+    if (std::thread::hardware_concurrency() >=
+        static_cast<unsigned>(part_.cores)) {
         cpu_set_t set;
         CPU_ZERO(&set);
         CPU_SET(static_cast<unsigned>(worker_id), &set);
@@ -317,9 +319,9 @@ ParallelRunner::dispatchBatch(int iterations)
             return doneCount_ == static_cast<int>(workers_.size()) ||
                    (native_ && erroredCount_ > 0);
         };
-        if (opt_.watchdogMs > 0)
+        if (config_.watchdogMs > 0)
             finished = cv_.wait_for(
-                lk, std::chrono::milliseconds(opt_.watchdogMs),
+                lk, std::chrono::milliseconds(config_.watchdogMs),
                 done);
         else
             cv_.wait(lk, done);
@@ -335,7 +337,7 @@ ParallelRunner::dispatchBatch(int iterations)
             }
             f.message = "batch generation " + std::to_string(gen) +
                         " did not complete within " +
-                        std::to_string(opt_.watchdogMs) +
+                        std::to_string(config_.watchdogMs) +
                         " ms watchdog; " +
                         std::to_string(f.pendingWorkers.size()) +
                         " worker(s) pending";
@@ -372,11 +374,11 @@ ParallelRunner::dispatchBatch(int iterations)
             }
             return f;
         } catch (const std::exception& ex) {
-            if (opt_.watchdogMs <= 0)
+            if (config_.watchdogMs <= 0)
                 std::rethrow_exception(e);  // Legacy: caller's problem.
             f.message = ex.what();
         } catch (...) {
-            if (opt_.watchdogMs <= 0)
+            if (config_.watchdogMs <= 0)
                 std::rethrow_exception(e);  // Legacy: caller's problem.
             f.message = "non-standard exception";
         }
@@ -407,7 +409,7 @@ ParallelRunner::shutdownPool()
     // into this runner, which stays alive, and it can no longer pass a
     // barrier since stop_ is set.
     const auto grace = std::chrono::milliseconds(
-        std::max<std::int64_t>(10 * opt_.watchdogMs, 2000));
+        std::max<std::int64_t>(10 * config_.watchdogMs, 2000));
     bool clean = false;
     {
         std::unique_lock<std::mutex> lk(mu_);
@@ -430,52 +432,31 @@ void
 ParallelRunner::degradeToSerial(ParallelFault fault,
                                 std::int64_t target_iters)
 {
-    // 1-2. Park the pool (stop flag, ring-wait aborts, grace
-    // join/detach).
+    // Park the pool (stop flag, ring-wait aborts, grace join/detach).
     fault.cleanShutdown = shutdownPool();
-    // 3. Snapshot the parallel run's captures for verification. The
-    // sink worker appends in serial order even mid-batch, so whatever
-    // is there is a prefix of the serial stream — but only a clean
-    // shutdown guarantees nobody is still appending.
+    // The sink worker appends in serial order even mid-batch, so
+    // whatever it captured is a prefix of the serial stream — but only
+    // a clean shutdown guarantees nobody is still appending, so only
+    // then is there a prefix to verify.
     std::vector<Value> prefix;
     if (fault.cleanShutdown)
         prefix = native_ ? native_->captured() : runner_.captured();
 
-    // 4. Fresh serial runner over the same graph/schedule/configs;
-    // replay the entire steady history from scratch. Its cost sink
-    // starts empty so the merged totals are the exact serial ones.
-    // config_ is passed verbatim, so a native parallel run falls back
-    // to the serial native engine (its own NativeProgram; native_
-    // itself is never unloaded here, because a detached worker could
-    // still be inside its code).
+    // Replay the entire steady history from scratch on a serial
+    // runner. Its cost sink starts empty so the merged totals are the
+    // exact serial ones. config_ is passed verbatim, so a native
+    // parallel run falls back to the serial native engine (its own
+    // NativeProgram; native_ itself is never unloaded here, because a
+    // detached worker could still be inside its code).
     if (cost_)
         fallbackCost_ =
             std::make_unique<machine::CostSink>(cost_->machine());
-    fallback_ = std::make_unique<Runner>(*graph_, *sched_,
-                                         fallbackCost_.get(), config_);
-    for (const auto& [id, cfg] : actorConfigs_)
-        fallback_->setActorConfig(id, cfg);
-    fallback_->enableCapture(captureEnabled_);
-    fallback_->runInit();
-    if (target_iters > 0)
-        fallback_->runSteady(static_cast<int>(target_iters));
+    const ReplayOutcome replay = runner_.replayAndVerify(
+        fallback_, config_, fallbackCost_.get(), target_iters, prefix);
     fault.fallbackUsed = true;
-
-    // 5. Prefix verification: every element the parallel run captured
-    // must be bitwise identical to the serial replay.
     if (fault.cleanShutdown) {
-        const std::vector<Value>& serial = fallback_->captured();
-        bool ok = prefix.size() <= serial.size();
-        for (std::size_t i = 0; ok && i < prefix.size(); ++i)
-            ok = prefix[i] == serial[i];
-        fault.fallbackVerified = ok;
-        fault.verifiedElements =
-            static_cast<std::int64_t>(prefix.size());
-    }
-    if (cost_) {
-        std::vector<const machine::CostSink*> parts{
-            fallbackCost_.get()};
-        cost_->assignDisjointUnion(parts);
+        fault.fallbackVerified = replay.verified;
+        fault.verifiedElements = replay.verifiedElements;
     }
 
     if (trace_ && trace_->enabled()) {
@@ -493,12 +474,34 @@ ParallelRunner::degradeToSerial(ParallelFault fault,
 void
 ParallelRunner::runSteady(int iterations)
 {
+    if (!initDone())
+        runInit();
+    const auto t0 = std::chrono::steady_clock::now();
     if (fallback_) {
         // Already degraded: the pool is gone, the serial runner is
         // the runner.
         fallback_->runSteady(iterations);
-        completedIters_ += iterations;
-        steadyIterations_ += iterations;
+    } else {
+        for (int remaining = iterations; remaining > 0;) {
+            const int b = std::min(remaining, config_.batchIterations);
+            if (auto fault = dispatchBatch(b)) {
+                // The caller asked for `iterations`; the fallback
+                // replays everything before this call plus all of it,
+                // so post-conditions match a healthy run exactly.
+                degradeToSerial(std::move(*fault),
+                                steadyIterations_ + iterations);
+                break;
+            }
+            remaining -= b;
+        }
+    }
+    steadyWallMicros_ += std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    steadyIterations_ += iterations;
+
+    if (fallback_) {
+        // The fallback's sink holds the whole serial history.
         if (cost_) {
             std::vector<const machine::CostSink*> parts{
                 fallbackCost_.get()};
@@ -506,33 +509,6 @@ ParallelRunner::runSteady(int iterations)
         }
         return;
     }
-    if (!initDone())
-        runInit();
-    const auto t0 = std::chrono::steady_clock::now();
-    int remaining = iterations;
-    while (remaining > 0) {
-        const int b = std::min(remaining, opt_.batchIterations);
-        if (auto fault = dispatchBatch(b)) {
-            // The caller asked for `iterations`; the fallback replays
-            // everything completed so far plus all of the rest, so
-            // post-conditions match a healthy run exactly.
-            degradeToSerial(std::move(*fault),
-                            completedIters_ + remaining);
-            completedIters_ += remaining;
-            steadyIterations_ += remaining;
-            steadyWallMicros_ +=
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            return;
-        }
-        completedIters_ += b;
-        remaining -= b;
-    }
-    steadyWallMicros_ += std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-    steadyIterations_ += iterations;
 
     // Batch barrier: workers are parked, so the emitted sink buffer is
     // quiescent and its size is a clean boundary for captured().
@@ -561,7 +537,7 @@ ParallelRunner::runSteady(int iterations)
         json::Value payload = json::Value::object();
         payload["iterations"] = iterations;
         payload["threads"] = part_.cores;
-        payload["batchIterations"] = opt_.batchIterations;
+        payload["batchIterations"] = config_.batchIterations;
         trace_->event("interp", "runSteadyParallel",
                       std::move(payload));
     }
@@ -578,7 +554,7 @@ ParallelRunner::runUntilCaptured(std::int64_t n, int max_iters)
                 "runUntilCaptured: sink produced only ",
                 capturedSize(), " of ", n, " elements after ",
                 max_iters, " iterations");
-        const int step = std::min(opt_.batchIterations,
+        const int step = std::min(config_.batchIterations,
                                   max_iters - iters);
         runSteady(step);
         iters += step;
@@ -603,28 +579,10 @@ ParallelRunner::statsToJson() const
     // engine and build stats come from the partitioned program.
     if (native_ && !fallback_) {
         root["engine"] = toString(ExecEngine::Native);
-        const native::NativeStats& st = native_->stats();
-        json::Value nat = json::Value::object();
-        nat["compiler"] = st.compiler;
-        nat["flags"] = st.flags;
-        nat["soPath"] = st.soPath;
-        nat["sourceHash"] = static_cast<std::int64_t>(st.sourceHash);
-        nat["cacheHit"] = st.cacheHit;
-        nat["compileMillis"] = st.compileMillis;
-        nat["compileAttempts"] = st.compileAttempts;
-        nat["abiVersion"] = st.abiVersion;
-        nat["exact"] = st.exact;
-        json::Value simd = json::Value::object();
-        simd["laneWidth"] = st.simdLanes;
-        simd["isa"] = st.simdIsa;
-        simd["fallback"] = st.simdFallback;
-        nat["simd"] = std::move(simd);
-        if (st.quarantineFailures > 0) {
-            json::Value q = json::Value::object();
-            q["failures"] = st.quarantineFailures;
-            q["reason"] = st.quarantineReason;
-            nat["quarantine"] = std::move(q);
-        }
+        json::Value nat = native_->stats().toJson();
+        // The partitions' wall times are per core (parallel.native);
+        // the program's steady time is the pool's.
+        nat["steadyWallMicros"] = steadyWallMicros_;
         nat["degradeMode"] = toString(config_.degrade);
         root["native"] = std::move(nat);
     }
@@ -649,9 +607,9 @@ ParallelRunner::statsToJson() const
 
     json::Value par = json::Value::object();
     par["threads"] = part_.cores;
-    par["batchIterations"] = opt_.batchIterations;
-    par["minRingSlots"] = opt_.minRingSlots;
-    par["watchdogMs"] = opt_.watchdogMs;
+    par["batchIterations"] = config_.batchIterations;
+    par["minRingSlots"] = config_.ringCapacity;
+    par["watchdogMs"] = config_.watchdogMs;
     par["degradedToSerial"] = (fallback_ != nullptr);
     json::Value faults = json::Value::array();
     for (const ParallelFault& f : faults_) {

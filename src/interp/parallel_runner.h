@@ -45,7 +45,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "interp/runner.h"
@@ -54,33 +53,6 @@
 #include "native/native_engine.h"
 
 namespace macross::interp {
-
-/** Tuning knobs for ParallelRunner. */
-struct ParallelOptions {
-    /**
-     * Steady iterations per dispatch batch. Cross-core rings are
-     * sized to hold init residue plus this many iterations of
-     * production, the bound that keeps producers from ever blocking
-     * mid-batch.
-     */
-    int batchIterations = 32;
-    /** Floor on ring capacity in elements (rounded up to pow2). */
-    std::int64_t minRingSlots = 64;
-    /** Pin worker k to CPU k when the host has enough CPUs. */
-    bool pinThreads = true;
-    /**
-     * Watchdog timeout per dispatched batch, in milliseconds. 0
-     * disables the watchdog: batch waits block indefinitely and a
-     * worker exception is rethrown on the calling thread (the legacy
-     * behavior). When positive, a batch that does not complete in time
-     * — a stalled, deadlocked, or crashed worker — is detected, the
-     * pool is shut down cleanly, and the run degrades to the serial
-     * Runner, which replays the whole steady history so the caller
-     * still observes bit-identical output and modeled cycles. Size it
-     * to a generous multiple of the expected batch wall time.
-     */
-    std::int64_t watchdogMs = 0;
-};
 
 /**
  * One detected parallel-runtime fault: what the watchdog saw, and what
@@ -109,15 +81,14 @@ struct ParallelFault {
      * shutdown; a detached worker could still be appending).
      */
     bool fallbackVerified = false;
-    /** Elements the prefix verification covered. */
+    /** Elements the prefix verification covered (0 unless
+     *  fallbackVerified). */
     std::int64_t verifiedElements = 0;
 };
 
 /** Executes a partitioned stream graph on worker threads. */
 class ParallelRunner {
   public:
-    using Options = ParallelOptions;
-
     /**
      * @param g      Graph to run (must outlive the runner).
      * @param s      Schedule for @p g.
@@ -130,13 +101,15 @@ class ParallelRunner {
      *               one shared object for @p part (native::NativeProgram)
      *               whose per-core sub-programs the workers drive over
      *               the same SPSC rings the interpreting engines use.
+     *               batchIterations, ringCapacity and watchdogMs shape
+     *               the pool; worker k is pinned to CPU k when the host
+     *               has a CPU per worker.
      */
     ParallelRunner(const graph::FlatGraph& g,
                    const schedule::Schedule& s,
                    const multicore::Partition& part,
                    machine::CostSink* cost = nullptr,
-                   EngineConfig config = {},
-                   Options opt = {});
+                   EngineConfig config = {});
     ~ParallelRunner();
 
     ParallelRunner(const ParallelRunner&) = delete;
@@ -146,11 +119,7 @@ class ParallelRunner {
     void setActorConfig(int actor_id, ActorExecConfig cfg);
 
     /** Record every element the sink consumes. On by default. */
-    void enableCapture(bool on)
-    {
-        captureEnabled_ = on;
-        runner_.enableCapture(on);
-    }
+    void enableCapture(bool on) { runner_.enableCapture(on); }
 
     /** Run all init bodies and warm-up firings, single-threaded. */
     void runInit();
@@ -275,10 +244,10 @@ class ParallelRunner {
     /**
      * Watchdog recovery: stop the pool, abort ring waits so blocked
      * workers park, join (or, past the grace period, detach) them,
-     * then build a fresh serial Runner, replay @p target_iters steady
-     * iterations from scratch, verify the parallel captured prefix
-     * bitwise against it, and merge its exact serial cost into cost_.
-     * Afterwards all reads route through the fallback runner.
+     * then replay @p target_iters steady iterations from scratch on a
+     * fresh serial Runner (Runner::replayAndVerify) and verify the
+     * parallel captured prefix bitwise against it. Afterwards all
+     * reads route through the fallback runner.
      */
     void degradeToSerial(ParallelFault fault, std::int64_t target_iters);
 
@@ -286,8 +255,9 @@ class ParallelRunner {
     const schedule::Schedule* sched_;
     multicore::Partition part_;
     machine::CostSink* cost_;
+    /** With batchIterations and ringCapacity resolved to the values
+     *  the pool runs with (0 replaced by the runtime default). */
     EngineConfig config_;
-    Options opt_;
     support::Trace* trace_ = nullptr;
 
     /** Interpreting execution state. Under ExecEngine::Native the
@@ -307,10 +277,6 @@ class ParallelRunner {
     mutable std::vector<Value> nativeCaptured_;
     /** Sink elements at the last batch barrier (ExecEngine::Native). */
     std::size_t nativeClean_ = 0;
-
-    /** Replayed onto the fallback runner (setActorConfig history). */
-    std::vector<std::pair<int, ActorExecConfig>> actorConfigs_;
-    bool captureEnabled_ = true;
 
     /** Fault records + the serial fallback state after degradation. */
     std::vector<ParallelFault> faults_;
@@ -340,8 +306,6 @@ class ParallelRunner {
     double steadyWallMicros_ = 0.0;
     double baselineWallMicros_ = 0.0;
     std::int64_t steadyIterations_ = 0;
-    /** Steady iterations completed without fault (fallback target). */
-    std::int64_t completedIters_ = 0;
 };
 
 } // namespace macross::interp

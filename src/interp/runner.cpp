@@ -43,7 +43,7 @@ namespace {
 /** Bitwise-compare @p prefix against the leading elements of @p full,
  *  starting at element @p first (the ones before it already matched). */
 bool
-isBitwisePrefix(const std::vector<Value>& prefix,
+isBitwisePrefix(std::span<const Value> prefix,
                 const std::vector<Value>& full, std::size_t first = 0)
 {
     if (prefix.size() > full.size())
@@ -53,6 +53,21 @@ isBitwisePrefix(const std::vector<Value>& prefix,
             return false;
     }
     return true;
+}
+
+/**
+ * The next rung down the ladder: the same configuration on the bytecode
+ * VM with degradation off. It gets no cost sink: the native engine is
+ * measured, not modeled, and a degraded run keeps that contract rather
+ * than abruptly growing modeled cycles mid-stream (the Always shadow
+ * would also pollute a healthy run's totals otherwise).
+ */
+EngineConfig
+ladderConfig(EngineConfig c)
+{
+    c.engine = ExecEngine::Bytecode;
+    c.degrade = DegradeMode::Off;
+    return c;
 }
 
 } // namespace
@@ -230,26 +245,33 @@ Runner::ensureCompiled(const Actor& a)
     return *slot;
 }
 
-void
-Runner::buildLadder()
+ReplayOutcome
+Runner::replayAndVerify(std::unique_ptr<Runner>& replay,
+                        const EngineConfig& config,
+                        machine::CostSink* cost, std::int64_t iterations,
+                        std::span<const Value> prefix) const
 {
-    EngineConfig cfg = config_;
-    cfg.engine = ExecEngine::Bytecode;
-    cfg.degrade = DegradeMode::Off;
-    // No cost sink: the native engine is measured, not modeled, and a
-    // degraded run keeps that contract rather than abruptly growing
-    // modeled cycles mid-stream (the Always shadow would also pollute
-    // a healthy run's totals otherwise).
-    ladder_ = std::make_unique<Runner>(*graph_, *sched_, nullptr, cfg);
-    for (std::size_t i = 0; i < configs_.size(); ++i)
-        ladder_->setActorConfig(static_cast<int>(i), configs_[i]);
-    ladder_->enableCapture(captureEnabled_);
-    if (trace_)
-        ladder_->setTrace(trace_);
+    if (!replay) {
+        replay = std::make_unique<Runner>(*graph_, *sched_, cost, config);
+        for (std::size_t i = 0; i < configs_.size(); ++i)
+            replay->setActorConfig(static_cast<int>(i), configs_[i]);
+        replay->enableCapture(captureEnabled_);
+        replay->setTrace(trace_);
+    }
+    if (!replay->initDone_)
+        replay->runInit();
+    if (iterations > replay->steadyIters_)
+        replay->runSteady(
+            static_cast<int>(iterations - replay->steadyIters_));
+    ReplayOutcome out;
+    out.verified = isBitwisePrefix(prefix, replay->captured());
+    if (out.verified)
+        out.verifiedElements = static_cast<std::int64_t>(prefix.size());
+    return out;
 }
 
 void
-Runner::degradeFromNative(std::int64_t completed_iters)
+Runner::degradeFromNative()
 {
     // The last successful batch boundary: runSteady advances
     // nativeClean_ only after a healthy batch, and the crashed one
@@ -260,30 +282,18 @@ Runner::degradeFromNative(std::int64_t completed_iters)
     captured();
     std::vector<Value> prefix = std::move(captured_);
     captured_.clear();
-    if (!ladder_)
-        buildLadder();
-    if (!ladder_->initDone())
-        ladder_->runInit();
-    // Replay what the native engine completed; a warm Always shadow
-    // is already there and skips this.
-    if (completed_iters > ladderIters_) {
-        ladder_->runSteady(
-            static_cast<int>(completed_iters - ladderIters_));
-        ladderIters_ = completed_iters;
-    }
+    degradeOutcome_ = replayAndVerify(ladder_, ladderConfig(config_),
+                                      nullptr, steadyIters_, prefix);
+    // A ULP-divergent spec may legitimately differ from the bytecode
+    // VM, so a bitwise compare of a non-empty prefix proves nothing.
+    if (config_.simd.allowUlpDivergence && !prefix.empty())
+        degradeOutcome_ = {};
     degraded_ = true;
-    degradeVerified_ =
-        prefix.empty() ||
-        (!config_.simd.allowUlpDivergence &&
-         isBitwisePrefix(prefix, ladder_->captured()));
-    verifiedElements_ = degradeVerified_
-                            ? static_cast<std::int64_t>(prefix.size())
-                            : 0;
     if (trace_ && trace_->enabled()) {
         json::Value payload = json::Value::object();
-        payload["completedIterations"] = completed_iters;
-        payload["degradeVerified"] = degradeVerified_;
-        payload["verifiedElements"] = verifiedElements_;
+        payload["completedIterations"] = steadyIters_;
+        payload["degradeVerified"] = degradeOutcome_.verified;
+        payload["verifiedElements"] = degradeOutcome_.verifiedElements;
         if (!nativeFaults_.empty()) {
             payload["kind"] =
                 native::toString(nativeFaults_.back().kind);
@@ -366,32 +376,8 @@ Runner::appendNativeStats(json::Value& root) const
 {
     if (!native_ && nativeFaults_.empty() && !degraded_)
         return;
-    json::Value nat = json::Value::object();
-    if (native_) {
-        const native::NativeStats& st = native_->stats();
-        nat["compiler"] = st.compiler;
-        nat["flags"] = st.flags;
-        nat["soPath"] = st.soPath;
-        nat["sourceHash"] = static_cast<std::int64_t>(st.sourceHash);
-        nat["cacheHit"] = st.cacheHit;
-        nat["coalesced"] = st.coalesced;
-        nat["compileMillis"] = st.compileMillis;
-        nat["compileAttempts"] = st.compileAttempts;
-        nat["steadyWallMicros"] = st.steadyWallMicros;
-        nat["abiVersion"] = st.abiVersion;
-        nat["exact"] = st.exact;
-        json::Value simd = json::Value::object();
-        simd["laneWidth"] = st.simdLanes;
-        simd["isa"] = st.simdIsa;
-        simd["fallback"] = st.simdFallback;
-        nat["simd"] = std::move(simd);
-        if (st.quarantineFailures > 0) {
-            json::Value q = json::Value::object();
-            q["failures"] = st.quarantineFailures;
-            q["reason"] = st.quarantineReason;
-            nat["quarantine"] = std::move(q);
-        }
-    }
+    json::Value nat =
+        native_ ? native_->stats().toJson() : json::Value::object();
     if (config_.engine == ExecEngine::Native)
         nat["degradeMode"] = toString(config_.degrade);
     json::Value faults = json::Value::array();
@@ -401,8 +387,8 @@ Runner::appendNativeStats(json::Value& root) const
     nat["degraded"] = degraded_;
     if (degraded_) {
         nat["degradedTo"] = "bytecode";
-        nat["degradeVerified"] = degradeVerified_;
-        nat["verifiedElements"] = verifiedElements_;
+        nat["degradeVerified"] = degradeOutcome_.verified;
+        nat["verifiedElements"] = degradeOutcome_.verifiedElements;
     }
     root["native"] = std::move(nat);
 }
@@ -652,7 +638,7 @@ Runner::runInit()
             nativeFaults_.push_back(e.record());
             if (config_.degrade == DegradeMode::Off)
                 throw;
-            degradeFromNative(0);
+            degradeFromNative();
             return;
         }
         nativeClean_ = native_->capturedSize();
@@ -670,18 +656,17 @@ Runner::runInit()
         if (config_.degrade == DegradeMode::Always) {
             // Lockstep shadow: keep the next rung warm and verify the
             // init-phase capture immediately.
-            buildLadder();
-            ladder_->runInit();
-            if (!config_.simd.allowUlpDivergence) {
-                const std::vector<Value>& mine = captured();
-                fatalIf(mine.size() != ladder_->captured().size() ||
-                            !isBitwisePrefix(mine,
-                                             ladder_->captured()),
-                        "degrade=always: native init capture diverged "
-                        "from the bytecode shadow (", mine.size(),
-                        " native vs ", ladder_->captured().size(),
-                        " shadow elements)");
-            }
+            const bool exact = !config_.simd.allowUlpDivergence;
+            const ReplayOutcome shadow = replayAndVerify(
+                ladder_, ladderConfig(config_), nullptr, 0,
+                exact ? std::span<const Value>(captured())
+                      : std::span<const Value>());
+            fatalIf(exact && (!shadow.verified ||
+                              capturedSize() != ladder_->capturedSize()),
+                    "degrade=always: native init capture diverged "
+                    "from the bytecode shadow (", capturedSize(),
+                    " native vs ", ladder_->capturedSize(),
+                    " shadow elements)");
         }
         return;
     }
@@ -733,7 +718,7 @@ Runner::runSteady(int iterations)
         runInit();
     if (degraded_) {
         ladder_->runSteady(iterations);
-        ladderIters_ += iterations;
+        steadyIters_ += iterations;
         return;
     }
     if (native_) {
@@ -745,9 +730,9 @@ Runner::runSteady(int iterations)
                 throw;
             // Replay the completed history, verify the pre-crash
             // prefix, then run the batch that crashed on the ladder.
-            degradeFromNative(steadyIters_);
+            degradeFromNative();
             ladder_->runSteady(iterations);
-            ladderIters_ += iterations;
+            steadyIters_ += iterations;
             return;
         }
         steadyIters_ += iterations;
@@ -763,7 +748,6 @@ Runner::runSteady(int iterations)
         }
         if (config_.degrade == DegradeMode::Always) {
             ladder_->runSteady(iterations);
-            ladderIters_ += iterations;
             if (!config_.simd.allowUlpDivergence) {
                 // Earlier batches were verified already; compare only
                 // this batch's elements.
@@ -791,6 +775,7 @@ Runner::runSteady(int iterations)
             }
         }
     }
+    steadyIters_ += iterations;
     if (trace_ && trace_->enabled()) {
         trace_->count("interp.steadyIterations", iterations);
         trace_->count("interp.firings", firings);

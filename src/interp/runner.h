@@ -60,6 +60,17 @@ struct ActorExecConfig {
     double outerExtraPerGroup = 0.0;
 };
 
+/**
+ * What a serial replay's prefix check established (see
+ * Runner::replayAndVerify): whether a run's captured prefix is bitwise
+ * identical to the replay's stream, and how many elements that covered
+ * (0 unless verified).
+ */
+struct ReplayOutcome {
+    bool verified = false;
+    std::int64_t verifiedElements = 0;
+};
+
 /** Executes a scheduled stream graph. */
 class Runner {
   public:
@@ -150,10 +161,31 @@ class Runner {
      * under the exact SimdSpec contract, or trivially for an empty
      * prefix). False on a healthy or non-degraded run.
      */
-    bool degradeVerified() const { return degradeVerified_; }
+    bool degradeVerified() const { return degradeOutcome_.verified; }
 
-    /** Elements the degrade prefix verification covered. */
-    std::int64_t verifiedElements() const { return verifiedElements_; }
+    /** Elements the degrade prefix verification covered (0 unless
+     *  degradeVerified()). */
+    std::int64_t verifiedElements() const
+    {
+        return degradeOutcome_.verifiedElements;
+    }
+
+    /**
+     * The serial fallback shared by the native degrade ladder and the
+     * parallel watchdog. When @p replay is null, builds it: a Runner
+     * over this runner's graph and schedule with @p config and
+     * @p cost, and this runner's per-actor configs, capture flag and
+     * trace (an existing @p replay keeps its own). Then runs its init
+     * once, advances it to @p iterations steady iterations in total,
+     * and bitwise-compares @p prefix against the leading elements it
+     * captured. An empty prefix is trivially verified; one longer than
+     * the replay's stream is not.
+     */
+    ReplayOutcome replayAndVerify(std::unique_ptr<Runner>& replay,
+                                  const EngineConfig& config,
+                                  machine::CostSink* cost,
+                                  std::int64_t iterations,
+                                  std::span<const Value> prefix) const;
 
     /** Fire one actor once (also used internally). */
     void fire(int actor_id);
@@ -219,18 +251,14 @@ class Runner {
     /** Emit the "native" stats block (build stats, fault records,
      *  degradation outcome) into @p root when there is one. */
     void appendNativeStats(json::Value& root) const;
-    /** Build the bytecode ladder runner (same graph/schedule/actor
-     *  configs, engine forced to Bytecode, degrade off, no cost
-     *  sink — native runs are measured, not modeled). */
-    void buildLadder();
     /**
-     * Absorb a native fault under DegradeMode::Auto/Always: replay
-     * @p completed_iters steady iterations on the ladder runner (a
-     * warm Always shadow skips the replay), verify the pre-fault
+     * Absorb a native fault under DegradeMode::Auto/Always: replay the
+     * steady iterations completed so far on the bytecode ladder runner
+     * (a warm Always shadow skips the replay), verify the pre-fault
      * captured prefix bitwise against it (exact contract only), and
      * route all further execution through the ladder.
      */
-    void degradeFromNative(std::int64_t completed_iters);
+    void degradeFromNative();
 
     void fireFilter(const graph::Actor& a, Vm& vm,
                     machine::CostSink* cost);
@@ -271,12 +299,10 @@ class Runner {
     /** Native faults absorbed or rethrown by this runner. */
     std::vector<native::NativeFaultRecord> nativeFaults_;
     bool degraded_ = false;
-    bool degradeVerified_ = false;
-    std::int64_t verifiedElements_ = 0;
-    /** Successful native steady iterations (the replay target). */
+    ReplayOutcome degradeOutcome_;
+    /** Steady iterations run so far, on whichever rung; read before a
+     *  faulted batch counts, it is the replay target. */
     std::int64_t steadyIters_ = 0;
-    /** Steady iterations the ladder runner has executed. */
-    std::int64_t ladderIters_ = 0;
     double compileMicros_ = 0.0;
     std::vector<Tape*> sinkTapes_;
     /** The interpreting engines' sink tapes append here. Under

@@ -74,6 +74,35 @@ fnv1a64(const std::string& data)
     return h;
 }
 
+json::Value
+NativeStats::toJson() const
+{
+    json::Value v = json::Value::object();
+    v["compiler"] = compiler;
+    v["flags"] = flags;
+    v["soPath"] = soPath;
+    v["sourceHash"] = static_cast<std::int64_t>(sourceHash);
+    v["cacheHit"] = cacheHit;
+    v["coalesced"] = coalesced;
+    v["compileMillis"] = compileMillis;
+    v["compileAttempts"] = compileAttempts;
+    v["steadyWallMicros"] = steadyWallMicros;
+    v["abiVersion"] = abiVersion;
+    v["exact"] = exact;
+    json::Value simd = json::Value::object();
+    simd["laneWidth"] = simdLanes;
+    simd["isa"] = simdIsa;
+    simd["fallback"] = simdFallback;
+    v["simd"] = std::move(simd);
+    if (quarantineFailures > 0) {
+        json::Value q = json::Value::object();
+        q["failures"] = quarantineFailures;
+        q["reason"] = quarantineReason;
+        v["quarantine"] = std::move(q);
+    }
+    return v;
+}
+
 std::string
 detectHostCompiler(const std::string& preferred)
 {

@@ -83,6 +83,7 @@
 #include "interp/spsc_queue.h"
 #include "interp/value.h"
 #include "schedule/steady_state.h"
+#include "support/json.h"
 
 namespace macross::native {
 
@@ -158,6 +159,10 @@ struct NativeStats {
      *  was consulted (1 = recompiled fresh on the retry path). */
     std::int64_t quarantineFailures = 0;
     std::string quarantineReason;  ///< Last recorded crash diagnostic.
+
+    /** The run.stats.native build block (the caller adds its engine
+     *  policy and fault records). */
+    json::Value toJson() const;
 };
 
 /**

@@ -55,10 +55,9 @@ expectParallelMatchesSerial(const vectorizer::CompiledProgram& p,
         multicore::Partition part = multicore::partitionGreedy(
             p.graph, p.schedule, serial.actorCycles, threads);
         machine::CostSink cost(m);
-        ParallelRunner::Options opt;
-        opt.batchIterations = 4;  // 10 iters -> batches of 4, 4, 2.
-        ParallelRunner pr(p.graph, p.schedule, part, &cost,
-                          EngineConfig(ExecEngine::Bytecode), opt);
+        EngineConfig config(ExecEngine::Bytecode);
+        config.batchIterations = 4;  // 10 iters -> batches of 4, 4, 2.
+        ParallelRunner pr(p.graph, p.schedule, part, &cost, config);
         pr.runInit();
         pr.runSteady(kIters);
 

@@ -99,10 +99,9 @@ TEST(ParallelRunner, MatchesSerialOutputOnTwoThreads)
     multicore::Partition part =
         multicore::partitionGreedy(p.graph, p.schedule, cycles, 2);
     machine::CostSink parCost(m);
-    ParallelRunner::Options opt;
-    opt.batchIterations = 5;  // Exercise batch barriers: 5 + 5 + 2.
-    ParallelRunner pr(p.graph, p.schedule, part, &parCost,
-                      EngineConfig(ExecEngine::Bytecode), opt);
+    EngineConfig config(ExecEngine::Bytecode);
+    config.batchIterations = 5;  // Exercise batch barriers: 5 + 5 + 2.
+    ParallelRunner pr(p.graph, p.schedule, part, &parCost, config);
     pr.runInit();
     pr.runSteady(12);
 
@@ -206,6 +205,22 @@ TEST(ParallelRunner, RejectsBadPartition)
     part.coreLoad.assign(2, 0.0);
     EXPECT_THROW(ParallelRunner(p.graph, p.schedule, part),
                  FatalError);
+}
+
+TEST(ParallelRunner, RejectsNegativePoolKnobs)
+{
+    auto p = vectorizer::compileScalar(benchmarks::makeFmRadio());
+    std::vector<double> w(p.graph.actors.size(), 1.0);
+    multicore::Partition part =
+        multicore::partitionGreedy(p.graph, p.schedule, w, 2);
+    EngineConfig batch, ring, watchdog;
+    batch.batchIterations = -1;
+    ring.ringCapacity = -1;
+    watchdog.watchdogMs = -1;
+    for (const EngineConfig& config : {batch, ring, watchdog})
+        EXPECT_THROW(ParallelRunner(p.graph, p.schedule, part, nullptr,
+                                    config),
+                     FatalError);
 }
 
 } // namespace

@@ -125,5 +125,83 @@ TEST(Runner, RunUntilCapturedFailsOnStarvedSink)
                  FatalError);
 }
 
+/**
+ * The serial replay-and-verify helper behind both fallback paths (the
+ * native degrade ladder and the parallel watchdog), run in-process on
+ * the bytecode VM: a source run's captured stream is checked against a
+ * fresh replay of the same graph.
+ */
+class ReplayAndVerify : public ::testing::Test {
+  protected:
+    ReplayAndVerify()
+        : compiled(vectorizer::compileScalar(pipeline({
+              filterStream(floatSource("src", 2, 5)),
+              filterStream(gain("g", 2.0f)),
+              filterStream(floatSink("snk", 2)),
+          }))),
+          source(compiled.graph, compiled.schedule)
+    {
+        source.runInit();
+        source.runSteady(4);
+    }
+
+    ReplayOutcome replayTo(std::int64_t iterations,
+                           std::span<const Value> prefix)
+    {
+        return source.replayAndVerify(replay,
+                                      EngineConfig(ExecEngine::Bytecode),
+                                      nullptr, iterations, prefix);
+    }
+
+    vectorizer::CompiledProgram compiled;
+    Runner source;
+    std::unique_ptr<Runner> replay;
+};
+
+TEST_F(ReplayAndVerify, EmptyPrefixIsTriviallyVerified)
+{
+    const ReplayOutcome out = replayTo(4, {});
+    EXPECT_TRUE(out.verified);
+    EXPECT_EQ(out.verifiedElements, 0);
+    ASSERT_NE(replay, nullptr);
+    EXPECT_EQ(replay->capturedSize(), source.capturedSize());
+}
+
+TEST_F(ReplayAndVerify, MatchingPrefixCountsEveryElement)
+{
+    const std::vector<Value>& want = source.captured();
+    ASSERT_FALSE(want.empty());
+    const ReplayOutcome out = replayTo(4, want);
+    EXPECT_TRUE(out.verified);
+    EXPECT_EQ(out.verifiedElements,
+              static_cast<std::int64_t>(want.size()));
+    // A shorter prefix of the same run verifies against a longer
+    // replay, and an existing replay only runs the missing iterations.
+    const ReplayOutcome longer = replayTo(6, want);
+    EXPECT_TRUE(longer.verified);
+    EXPECT_GT(replay->capturedSize(), want.size());
+}
+
+TEST_F(ReplayAndVerify, MismatchAtElementKVerifiesNothing)
+{
+    std::vector<Value> prefix = source.captured();
+    ASSERT_GT(prefix.size(), 3u);
+    const std::size_t k = prefix.size() / 2;
+    prefix[k] = Value::makeFloat(prefix[k].f() + 1.0f);
+    const ReplayOutcome out = replayTo(4, prefix);
+    EXPECT_FALSE(out.verified);
+    EXPECT_EQ(out.verifiedElements, 0);
+}
+
+TEST_F(ReplayAndVerify, PrefixLongerThanReplayVerifiesNothing)
+{
+    source.runSteady(4);
+    const std::vector<Value>& prefix = source.captured();
+    const ReplayOutcome out = replayTo(4, prefix);
+    EXPECT_LT(replay->capturedSize(), prefix.size());
+    EXPECT_FALSE(out.verified);
+    EXPECT_EQ(out.verifiedElements, 0);
+}
+
 } // namespace
 } // namespace macross::interp

@@ -76,15 +76,14 @@ runStallScenario(int threads)
     multicore::Partition part = multicore::partitionGreedy(
         p.graph, p.schedule, cycles, threads);
     machine::CostSink parCost(m);
-    ParallelRunner::Options opt;
-    opt.batchIterations = 4;  // 12 iterations = 3 batches.
-    opt.watchdogMs = 75;
+    EngineConfig config(ExecEngine::Bytecode);
+    config.batchIterations = 4;  // 12 iterations = 3 batches.
+    config.watchdogMs = 75;
     // Batch 1 completes (threads passages), then the first worker of
     // batch 2 stalls far past the watchdog — so the fallback has a
     // non-empty captured prefix to verify against.
     armStallOnPassage(threads + 1, 800);
-    ParallelRunner pr(p.graph, p.schedule, part, &parCost,
-                      EngineConfig(ExecEngine::Bytecode), opt);
+    ParallelRunner pr(p.graph, p.schedule, part, &parCost, config);
     pr.runInit();
     pr.runSteady(12);
 
@@ -150,8 +149,8 @@ TEST_F(WatchdogTest, WorkerExceptionBecomesStructuredFault)
     auto cycles = profileActorCycles(p, m);
     multicore::Partition part =
         multicore::partitionGreedy(p.graph, p.schedule, cycles, 2);
-    ParallelRunner::Options opt;
-    opt.watchdogMs = 2000;
+    EngineConfig config(ExecEngine::Bytecode);
+    config.watchdogMs = 2000;
     // Every worker's batch entry throws: the batch completes with
     // errors recorded (nobody blocks on a peer's ring), so detection
     // takes the workerError path rather than the stall timeout.
@@ -161,8 +160,7 @@ TEST_F(WatchdogTest, WorkerExceptionBecomesStructuredFault)
             throw std::runtime_error("injected worker failure");
         });
     machine::CostSink parCost(m);
-    ParallelRunner pr(p.graph, p.schedule, part, &parCost,
-                      EngineConfig(ExecEngine::Bytecode), opt);
+    ParallelRunner pr(p.graph, p.schedule, part, &parCost, config);
     pr.runInit();
     pr.runSteady(6);
 
@@ -180,6 +178,35 @@ TEST_F(WatchdogTest, WorkerExceptionBecomesStructuredFault)
     serial.runSteady(6);
     testutil::expectSameStream(serial.captured(), pr.captured());
     EXPECT_DOUBLE_EQ(serialCost.totalCycles(), parCost.totalCycles());
+}
+
+TEST_F(WatchdogTest, DegradedRunKeepsTimingSteadyWork)
+{
+    auto p = vectorizer::compileScalar(benchmarks::makeFmRadio());
+    machine::MachineDesc m = machine::coreI7();
+    auto cycles = profileActorCycles(p, m);
+    multicore::Partition part =
+        multicore::partitionGreedy(p.graph, p.schedule, cycles, 2);
+    EngineConfig config(ExecEngine::Bytecode);
+    config.watchdogMs = 2000;
+    support::FaultInjector::instance().arm(
+        "parallel.worker.batch",
+        [](std::int64_t*) {
+            throw std::runtime_error("injected worker failure");
+        });
+    ParallelRunner pr(p.graph, p.schedule, part, nullptr, config);
+    pr.runInit();
+    pr.runSteady(6);
+    ASSERT_TRUE(pr.degradedToSerial());
+
+    // Steady work on the serial fallback is still steady work: its
+    // wall time must count, or measuredSpeedup inflates.
+    const double before = pr.steadyWallMicros();
+    pr.runSteady(5);
+    EXPECT_GT(pr.steadyWallMicros(), before);
+    json::Value stats = pr.statsToJson();
+    EXPECT_EQ(stats.find("parallel")->find("steadyIterations")->asInt(),
+              11);
 }
 
 TEST_F(WatchdogTest, NoWatchdogRethrowsWorkerException)
@@ -229,12 +256,10 @@ runNativeStallScenario(int threads)
     multicore::Partition part = multicore::partitionGreedy(
         p.graph, p.schedule, cycles, threads);
     machine::CostSink parCost(m);
-    ParallelRunner::Options opt;
-    opt.batchIterations = 4;  // 12 iterations = 3 batches.
-    opt.watchdogMs = 75;
+    config.batchIterations = 4;  // 12 iterations = 3 batches.
+    config.watchdogMs = 75;
     armStallOnPassage(threads + 1, 800);
-    ParallelRunner pr(p.graph, p.schedule, part, &parCost, config,
-                      opt);
+    ParallelRunner pr(p.graph, p.schedule, part, &parCost, config);
     pr.runInit();
     pr.runSteady(12);
 
@@ -282,10 +307,9 @@ TEST_F(WatchdogTest, HealthyRunReportsNoFaults)
     auto cycles = profileActorCycles(p, m);
     multicore::Partition part =
         multicore::partitionGreedy(p.graph, p.schedule, cycles, 2);
-    ParallelRunner::Options opt;
-    opt.watchdogMs = 5000;  // Generous: must never fire.
-    ParallelRunner pr(p.graph, p.schedule, part, nullptr,
-                      EngineConfig(ExecEngine::Bytecode), opt);
+    EngineConfig config(ExecEngine::Bytecode);
+    config.watchdogMs = 5000;  // Generous: must never fire.
+    ParallelRunner pr(p.graph, p.schedule, part, nullptr, config);
     pr.runInit();
     pr.runSteady(8);
     EXPECT_TRUE(pr.faults().empty());

@@ -169,10 +169,10 @@ TEST_P(CaptureView, ParallelRunnerMatchesVmAtEveryThreadCount)
                                   : "read at end"));
             multicore::Partition part = multicore::partitionGreedy(
                 p.graph, p.schedule, weights, threads);
-            ParallelRunner::Options opt;
-            opt.batchIterations = 2;  // The 7-iteration call spans 4.
+            EngineConfig config = nativeConfig();
+            config.batchIterations = 2;  // The 7-iteration call spans 4.
             ParallelRunner pr(p.graph, p.schedule, part, nullptr,
-                              nativeConfig(), opt);
+                              config);
             runMixedBatches(pr, want, between);
             EXPECT_FALSE(pr.degradedToSerial());
         }

@@ -87,10 +87,10 @@ expectParallelNativeMatchesUnder(const graph::StreamPtr& program,
             SCOPED_TRACE(std::to_string(threads) + " threads");
             multicore::Partition part = multicore::partitionGreedy(
                 p.graph, p.schedule, weights, threads);
-            ParallelRunner::Options opt;
-            opt.batchIterations = 4;  // 10 iters -> 3 batch barriers.
+            EngineConfig batched = config;
+            batched.batchIterations = 4;  // 10 iters -> 3 barriers.
             ParallelRunner pr(p.graph, p.schedule, part, nullptr,
-                              config, opt);
+                              batched);
             pr.runInit();
             pr.runSteady(kIters);
             EXPECT_FALSE(pr.degradedToSerial());

@@ -87,8 +87,8 @@ struct CliConfig {
     std::string injectFault;
     std::string machineName = "nehalem";
     std::string nativeIsa;  ///< Empty = SimdSpec default (native).
-    int batchIters = 0;     ///< 0 = ParallelOptions default.
-    int ringCap = 0;        ///< 0 = ParallelOptions default.
+    int batchIters = 0;     ///< 0 = ParallelRunner default.
+    int ringCap = 0;        ///< 0 = ParallelRunner default.
     bool autotune = false;
     bool tuned = false;
     int tuneBudget = 0;     ///< 0 = TunerOptions default.
@@ -701,6 +701,7 @@ main(int argc, char** argv)
         econfig.simd.allowUlpDivergence = cfg.ulpTol > 0;
         econfig.batchIterations = cfg.batchIters;
         econfig.ringCapacity = cfg.ringCap;
+        econfig.watchdogMs = cfg.watchdogMs;
         econfig.degrade =
             cfg.degradeName == "auto" ? interp::DegradeMode::Auto
             : cfg.degradeName == "always"
@@ -859,11 +860,9 @@ main(int argc, char** argv)
 
             parCost =
                 std::make_unique<machine::CostSink>(opts.machine);
-            interp::ParallelOptions popt;
-            popt.watchdogMs = cfg.watchdogMs;
             par = std::make_unique<interp::ParallelRunner>(
                 compiled.graph, compiled.schedule, part,
-                parCost.get(), econfig, popt);
+                parCost.get(), econfig);
             for (auto& [id, c] : actorConfigs)
                 par->setActorConfig(id, c);
             par->runInit();
