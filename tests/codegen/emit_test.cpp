@@ -195,6 +195,69 @@ TEST(Codegen, LibraryModeEmitsAbiInsteadOfMain)
     EXPECT_EQ(definedAbiSymbols(twoSrc), v3);
 }
 
+/** Tape ids whose rebase() Partition<k>'s run_steady calls. */
+std::set<int>
+rebasedTapes(const std::string& src, int k)
+{
+    const std::string head = "struct Partition" + std::to_string(k) +
+                             " : PartitionBase {";
+    std::size_t begin = src.find(head);
+    EXPECT_NE(begin, std::string::npos) << head;
+    begin = src.find("void run_steady(int iters) {", begin);
+    const std::size_t end = src.find("void flush() {", begin);
+    EXPECT_NE(end, std::string::npos);
+    const std::string body = src.substr(begin, end - begin);
+    std::set<int> ids;
+    const std::regex call(R"(tape(\d+)\.rebase\(\);)");
+    for (auto it = std::sregex_iterator(body.begin(), body.end(), call);
+         it != std::sregex_iterator(); ++it)
+        ids.insert(std::stoi((*it)[1]));
+    return ids;
+}
+
+TEST(Codegen, SteadyLoopRebasesOnlyCorePrivateTapes)
+{
+    vectorizer::SimdizeOptions vopts;
+    vopts.forceSimdize = true;
+    auto compiled =
+        vectorizer::macroSimdize(benchmarks::makeFmRadio(), vopts);
+    const graph::FlatGraph& g = compiled.graph;
+
+    // Serial: every tape is private to the one partition.
+    EmitOptions opts;
+    opts.mode = EmitMode::Library;
+    std::set<int> all;
+    for (const auto& t : g.tapes)
+        all.insert(t.id);
+    EXPECT_EQ(rebasedTapes(emitCpp(g, compiled.schedule, opts), 0),
+              all);
+
+    // Two cores split in topological order: each core rebases exactly
+    // the tapes with both endpoints on it, never a ring-bound one.
+    EmitOptions twoCore = opts;
+    twoCore.partitionCores = 2;
+    twoCore.partitionCoreOf.assign(g.actors.size(), 0);
+    const std::vector<int> topo = g.topoOrder();
+    for (std::size_t i = topo.size() / 2; i < topo.size(); ++i)
+        twoCore.partitionCoreOf[topo[i]] = 1;
+    const std::string src = emitCpp(g, compiled.schedule, twoCore);
+    ASSERT_NE(src.find("#define MACROSS_RING 1"), std::string::npos);
+    std::set<int> crossing;
+    std::set<int> priv[2];
+    for (const auto& t : g.tapes) {
+        const int a = twoCore.partitionCoreOf[t.src];
+        const int b = twoCore.partitionCoreOf[t.dst];
+        (a == b ? priv[a] : crossing).insert(t.id);
+    }
+    ASSERT_FALSE(crossing.empty());
+    ASSERT_FALSE(priv[0].empty());
+    ASSERT_FALSE(priv[1].empty());
+    for (int k = 0; k < 2; ++k) {
+        SCOPED_TRACE("Partition" + std::to_string(k));
+        EXPECT_EQ(rebasedTapes(src, k), priv[k]);
+    }
+}
+
 /** Compile @p source with the host compiler and run it. */
 std::string
 compileAndRun(const std::string& source, const std::string& tag,
